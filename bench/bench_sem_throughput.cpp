@@ -236,11 +236,10 @@ int main() {
 
   const auto h1 = ec::identity_point_cache().stats();
   std::printf("\nidentity-point cache: %llu hits / %llu misses / %llu "
-              "evictions / %llu invalidations (capacity %zu)\n",
+              "evictions (capacity %zu)\n",
               static_cast<unsigned long long>(h1.hits),
               static_cast<unsigned long long>(h1.misses),
               static_cast<unsigned long long>(h1.evictions),
-              static_cast<unsigned long long>(h1.invalidations),
               ec::identity_point_cache().capacity());
 
   // SLO pass over the run just recorded: a latency objective on the

@@ -6,10 +6,9 @@
 namespace medcrypt::mediated {
 
 namespace {
-// Cache tag domain for SEM-side h(M) lookups. Distinct from the hash's
-// own "GDH.h" domain string so mediator entries (stamped with the
-// revocation epoch) never thrash against epoch-less user-side callers.
-constexpr std::string_view kHashTag = "GDH.h@sem";
+// gdh::hash_message's domain: h(M) is cached under the hash's own tag,
+// shared with every other hash_to_subgroup_cached("GDH.h", ·) caller.
+constexpr std::string_view kHashDomain = "GDH.h";
 }  // namespace
 
 GdhMediator::GdhMediator(pairing::ParamSet group,
@@ -21,12 +20,9 @@ Point GdhMediator::issue_token(std::string_view identity,
   // Mediator entry point: allocate (or inherit) the request's trace.
   obs::TraceScope trace("gdh.issue_token");
   // Hash outside the lock scope — only the scalar multiplication needs
-  // the lent key half. The cache is consulted at this SEM's current
-  // revocation epoch (see the header contract).
-  const Point h = ec::identity_point_cache().get_or_compute(
-      kHashTag, message, revocations()->epoch(),
-      [&] { return gdh::hash_message(group_, message); },
-      [&](const Point& p) { return p.curve() == group_.curve; });
+  // the lent key half.
+  const Point h =
+      ec::hash_to_subgroup_cached(group_.curve, kHashDomain, message);
   return with_key(identity, [&](const BigInt& x_sem) {
     obs::Span span(obs::Stage::kScalarMul);
     return h.mul(x_sem);
@@ -50,8 +46,7 @@ std::vector<std::optional<Point>> GdhMediator::issue_tokens(
   std::vector<std::size_t> miss_slots;
   std::vector<BytesView> miss_messages;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (auto hit = cache.get(kHashTag, requests[i].message, snapshot->epoch,
-                             same_curve)) {
+    if (auto hit = cache.get(kHashDomain, requests[i].message, same_curve)) {
       hashes[i] = std::move(*hit);
     } else {
       miss_slots.push_back(i);
@@ -63,9 +58,9 @@ std::vector<std::optional<Point>> GdhMediator::issue_tokens(
   // batch's cofactor-cleared conversions) and refill the cache.
   if (!miss_slots.empty()) {
     std::vector<Point> hashed =
-        ec::hash_to_subgroup_batch(group_.curve, "GDH.h", miss_messages);
+        ec::hash_to_subgroup_batch(group_.curve, kHashDomain, miss_messages);
     for (std::size_t j = 0; j < miss_slots.size(); ++j) {
-      cache.put(kHashTag, miss_messages[j], snapshot->epoch, hashed[j]);
+      cache.put(kHashDomain, miss_messages[j], hashed[j]);
       hashes[miss_slots[j]] = std::move(hashed[j]);
     }
   }

@@ -191,7 +191,7 @@ std::uint64_t ScenarioRunner::one_request(WorkerState& ws) {
       issued = 1;
     } else {
       // GDH single: Zipf-skewed message stream through the identity-
-      // point cache (epoch churn during storms shows up right here).
+      // point cache.
       const std::size_t idx = static_cast<std::size_t>(zipf) % users;
       const Bytes& msg = messages_[static_cast<std::size_t>(zipf)];
       ws.transport.send_to_server(ids_[idx].size() + msg.size(), frame);
@@ -377,8 +377,7 @@ ScenarioResult ScenarioRunner::run(std::string_view name) {
     plan.push_back({frac(0.15), 1.0, true, nullptr});
     plan.push_back({frac(0.15), 1.0, true, [this, head_count] {
                       // Mass compromise: the Zipf head is revoked, so
-                      // most of the request stream starts bouncing and
-                      // the epoch bump flushes the identity caches.
+                      // most of the request stream starts bouncing.
                       for (int i = 0; i < head_count; ++i) {
                         revocations_->revoke(ids_[static_cast<std::size_t>(i)]);
                       }

@@ -12,9 +12,8 @@
 //                     troughs idle — exercises the SLO windows through
 //                     virtual time.
 //   revocation_storm  mass compromise mid-run: half the population is
-//                     revoked at once (denials spike, the epoch bump
-//                     invalidates the identity caches, p99 rises while
-//                     they refill), then restored.
+//                     revoked at once (denials spike; the public-value
+//                     caches are untouched), then restored.
 //   failover          a second SEM holds standby key halves; mid-storm
 //                     the primary goes dark and clients retry against
 //                     the standby — first attempts fail, burning the

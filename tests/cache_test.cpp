@@ -1,8 +1,9 @@
 // Tests for the sharded identity LRU cache (ec/identity_cache.h): hit /
-// miss / eviction accounting, LRU recency within a shard, epoch
-// invalidation (incl. the end-to-end revoke→unrevoke contract through a
-// mediator), validator rejection, and a concurrent suite that rides the
-// same TSan CI filter as the other SemStress* suites.
+// miss / eviction accounting, LRU recency within a shard, validator
+// rejection, the end-to-end contract that revocation is decided by the
+// mediator's snapshot check whatever the cache holds, and a concurrent
+// suite that rides the same TSan CI filter as the other SemStress*
+// suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,61 +27,47 @@ Bytes id_bytes(int i) { return str_bytes("id-" + std::to_string(i)); }
 TEST(IdentityCache, MissThenPutThenHit) {
   ShardedLruCache<int> cache({.capacity = 64, .metric_prefix = "test.cache.a"});
   const Bytes id = str_bytes("alice");
-  EXPECT_FALSE(cache.get("d", id, 0).has_value());
-  cache.put("d", id, 0, 41);
-  const auto got = cache.get("d", id, 0);
+  EXPECT_FALSE(cache.get("d", id).has_value());
+  cache.put("d", id, 41);
+  const auto got = cache.get("d", id);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 41);
   const auto s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.evictions, 0u);
-  EXPECT_EQ(s.invalidations, 0u);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(IdentityCache, DomainsAndLengthFramingSeparateKeys) {
   ShardedLruCache<int> cache({.capacity = 64, .metric_prefix = "test.cache.b"});
-  cache.put("d1", str_bytes("x"), 0, 1);
-  cache.put("d2", str_bytes("x"), 0, 2);
+  cache.put("d1", str_bytes("x"), 1);
+  cache.put("d2", str_bytes("x"), 2);
   // Length framing: ("ab", "c") and ("a", "bc") must be distinct keys.
-  cache.put("ab", str_bytes("c"), 0, 3);
-  cache.put("a", str_bytes("bc"), 0, 4);
-  EXPECT_EQ(*cache.get("d1", str_bytes("x"), 0), 1);
-  EXPECT_EQ(*cache.get("d2", str_bytes("x"), 0), 2);
-  EXPECT_EQ(*cache.get("ab", str_bytes("c"), 0), 3);
-  EXPECT_EQ(*cache.get("a", str_bytes("bc"), 0), 4);
+  cache.put("ab", str_bytes("c"), 3);
+  cache.put("a", str_bytes("bc"), 4);
+  EXPECT_EQ(*cache.get("d1", str_bytes("x")), 1);
+  EXPECT_EQ(*cache.get("d2", str_bytes("x")), 2);
+  EXPECT_EQ(*cache.get("ab", str_bytes("c")), 3);
+  EXPECT_EQ(*cache.get("a", str_bytes("bc")), 4);
   EXPECT_EQ(cache.size(), 4u);
 }
 
 TEST(IdentityCache, PutReplacesInPlace) {
   ShardedLruCache<int> cache({.capacity = 64, .metric_prefix = "test.cache.c"});
-  cache.put("d", str_bytes("x"), 0, 1);
-  cache.put("d", str_bytes("x"), 0, 2);
+  cache.put("d", str_bytes("x"), 1);
+  cache.put("d", str_bytes("x"), 2);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(*cache.get("d", str_bytes("x"), 0), 2);
-}
-
-TEST(IdentityCache, EpochMismatchInvalidatesAndDrops) {
-  ShardedLruCache<int> cache({.capacity = 64, .metric_prefix = "test.cache.d"});
-  cache.put("d", str_bytes("x"), /*epoch=*/1, 7);
-  // A lookup from a later epoch must NOT see the old value…
-  EXPECT_FALSE(cache.get("d", str_bytes("x"), /*epoch=*/2).has_value());
-  const auto s = cache.stats();
-  EXPECT_EQ(s.invalidations, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  // …and the stale entry is gone, not resurrectable at its old epoch.
-  EXPECT_FALSE(cache.get("d", str_bytes("x"), /*epoch=*/1).has_value());
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(*cache.get("d", str_bytes("x")), 2);
 }
 
 TEST(IdentityCache, ValidatorRejectionIsAMissAndDrops) {
   ShardedLruCache<int> cache({.capacity = 64, .metric_prefix = "test.cache.e"});
-  cache.put("d", str_bytes("x"), 0, 9);
+  cache.put("d", str_bytes("x"), 9);
   EXPECT_FALSE(
-      cache.get("d", str_bytes("x"), 0, [](const int&) { return false; })
+      cache.get("d", str_bytes("x"), [](const int&) { return false; })
           .has_value());
-  EXPECT_FALSE(cache.get("d", str_bytes("x"), 0).has_value());
+  EXPECT_FALSE(cache.get("d", str_bytes("x")).has_value());
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
@@ -89,13 +76,9 @@ TEST(IdentityCache, GetOrComputeComputesOncePerResidentEntry) {
   ShardedLruCache<int> cache({.capacity = 64, .metric_prefix = "test.cache.f"});
   int computes = 0;
   const auto make = [&] { return ++computes; };
-  EXPECT_EQ(cache.get_or_compute("d", str_bytes("x"), 0, make), 1);
-  EXPECT_EQ(cache.get_or_compute("d", str_bytes("x"), 0, make), 1);
+  EXPECT_EQ(cache.get_or_compute("d", str_bytes("x"), make), 1);
+  EXPECT_EQ(cache.get_or_compute("d", str_bytes("x"), make), 1);
   EXPECT_EQ(computes, 1);
-  // Epoch change forces a recompute (and replaces the entry).
-  EXPECT_EQ(cache.get_or_compute("d", str_bytes("x"), 1, make), 2);
-  EXPECT_EQ(cache.get_or_compute("d", str_bytes("x"), 1, make), 2);
-  EXPECT_EQ(computes, 2);
 }
 
 TEST(IdentityCache, BoundedSizeAndEvictionAccounting) {
@@ -103,7 +86,7 @@ TEST(IdentityCache, BoundedSizeAndEvictionAccounting) {
   // keep the cache bounded, with every displacement counted.
   ShardedLruCache<int> cache({.capacity = 8, .metric_prefix = "test.cache.g"});
   constexpr int kInserts = 64;
-  for (int i = 0; i < kInserts; ++i) cache.put("d", id_bytes(i), 0, i);
+  for (int i = 0; i < kInserts; ++i) cache.put("d", id_bytes(i), i);
   EXPECT_LE(cache.size(), 8u);
   EXPECT_EQ(cache.stats().evictions, kInserts - cache.size());
 }
@@ -117,76 +100,81 @@ TEST(IdentityCache, LruEvictsColdestNotMostRecentlyUsed) {
   std::vector<int> sharers{0};
   for (int j = 1; j < 256 && sharers.size() < 3; ++j) {
     probe.clear();
-    probe.put("d", id_bytes(0), 0, 0);
-    probe.put("d", id_bytes(j), 0, 0);
-    if (!probe.get("d", id_bytes(0), 0).has_value()) sharers.push_back(j);
+    probe.put("d", id_bytes(0), 0);
+    probe.put("d", id_bytes(j), 0);
+    if (!probe.get("d", id_bytes(0)).has_value()) sharers.push_back(j);
   }
   ASSERT_EQ(sharers.size(), 3u) << "no 3-way shard collision in 256 ids";
 
   // capacity 16 = two entries per shard. Fill the shard with A and B,
   // touch A (making B the LRU), insert C: B must go, A and C must stay.
   ShardedLruCache<int> cache({.capacity = 16, .metric_prefix = "test.cache.i"});
-  cache.put("d", id_bytes(sharers[0]), 0, 100);
-  cache.put("d", id_bytes(sharers[1]), 0, 200);
-  EXPECT_TRUE(cache.get("d", id_bytes(sharers[0]), 0).has_value());
-  cache.put("d", id_bytes(sharers[2]), 0, 300);
-  EXPECT_FALSE(cache.get("d", id_bytes(sharers[1]), 0).has_value());
-  EXPECT_TRUE(cache.get("d", id_bytes(sharers[0]), 0).has_value());
-  EXPECT_TRUE(cache.get("d", id_bytes(sharers[2]), 0).has_value());
+  cache.put("d", id_bytes(sharers[0]), 100);
+  cache.put("d", id_bytes(sharers[1]), 200);
+  EXPECT_TRUE(cache.get("d", id_bytes(sharers[0])).has_value());
+  cache.put("d", id_bytes(sharers[2]), 300);
+  EXPECT_FALSE(cache.get("d", id_bytes(sharers[1])).has_value());
+  EXPECT_TRUE(cache.get("d", id_bytes(sharers[0])).has_value());
+  EXPECT_TRUE(cache.get("d", id_bytes(sharers[2])).has_value());
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(IdentityCache, ClearDropsEntriesKeepsCounters) {
   ShardedLruCache<int> cache({.capacity = 64, .metric_prefix = "test.cache.j"});
-  cache.put("d", str_bytes("x"), 0, 1);
-  (void)cache.get("d", str_bytes("x"), 0);
+  cache.put("d", str_bytes("x"), 1);
+  (void)cache.get("d", str_bytes("x"));
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.get("d", str_bytes("x"), 0).has_value());
+  EXPECT_FALSE(cache.get("d", str_bytes("x")).has_value());
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: the revocation-epoch invalidation contract through a real
-// mediator (docs/SEM_SERVICE.md, "Cache invalidation").
+// End-to-end: revocation is the mediator's snapshot check, not a cache
+// policy (docs/SEM_SERVICE.md). A revoked identity is denied even though
+// its h(M) is resident, and once restored it is served from that same
+// entry — revoke/unrevoke never flushes public values.
 
-TEST(IdentityCacheEpoch, RevokeUnrevokeNeverServesStaleEntry) {
+TEST(IdentityCacheRevocation, RevokedIdentityDeniedWhateverCacheHolds) {
   const auto& group = pairing::toy_params();
   auto revocations = std::make_shared<mediated::RevocationList>();
   mediated::GdhMediator sem(group, revocations);
   HmacDrbg rng(7001);
-  auto alice = enroll_gdh_user(group, sem, "alice", rng);
+  (void)enroll_gdh_user(group, sem, "alice", rng);
+  (void)enroll_gdh_user(group, sem, "bob", rng);
 
   const Bytes msg = str_bytes("revoked-and-back");
   const auto& cache = identity_point_cache();
+  const Point before = sem.issue_token("alice", msg);  // warms h(M)
 
-  const Point t1 = sem.issue_token("alice", msg);
-  const auto s1 = cache.stats();
-  const Point t2 = sem.issue_token("alice", msg);  // same epoch → cache hit
-  const auto s2 = cache.stats();
-  EXPECT_EQ(t1, t2);
-  EXPECT_GE(s2.hits, s1.hits + 1);
-
-  // revoke + unrevoke bumps the epoch twice; "alice" is entitled to
-  // tokens again, but every mediator-cached hash entry from the old
-  // epoch must be recomputed, not served stale.
   revocations->revoke("alice");
+  EXPECT_THROW((void)sem.issue_token("alice", msg), RevokedError);
+  const mediated::GdhMediator::SignRequest batch[] = {{"alice", msg},
+                                                      {"bob", msg}};
+  const auto tokens = sem.issue_tokens(batch);
+  ASSERT_EQ(tokens.size(), 2u);
+  EXPECT_FALSE(tokens[0].has_value());
+  ASSERT_TRUE(tokens[1].has_value());
+  EXPECT_EQ(*tokens[1], sem.issue_token("bob", msg));
+
   revocations->unrevoke("alice");
-  const Point t3 = sem.issue_token("alice", msg);
-  const auto s3 = cache.stats();
-  EXPECT_EQ(t3, t1);  // h(M) is deterministic — same value, fresh entry
-  EXPECT_GE(s3.invalidations, s2.invalidations + 1);
+  const auto s1 = cache.stats();
+  const Point after = sem.issue_token("alice", msg);
+  const auto s2 = cache.stats();
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(s2.misses, s1.misses);
+  EXPECT_EQ(s2.hits, s1.hits + 1);
 }
 
 // ---------------------------------------------------------------------------
 // Concurrency (runs under TSan in CI alongside SemStress*): writers,
-// readers, epoch churn and clear() racing on one cache instance.
+// readers, and a clear()/stats()/size() churn thread racing on one cache
+// instance.
 
-TEST(SemStressCache, ConcurrentGetPutClearAndEpochChurn) {
+TEST(SemStressCache, ConcurrentGetPutAndClearChurn) {
   ShardedLruCache<int> cache({.capacity = 32, .metric_prefix = "test.cache.k"});
   constexpr int kThreads = 8;
   constexpr int kIters = 400;
-  std::atomic<std::uint64_t> epoch{0};
   std::atomic<bool> stop{false};
 
   std::vector<std::thread> pool;
@@ -194,19 +182,17 @@ TEST(SemStressCache, ConcurrentGetPutClearAndEpochChurn) {
     pool.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
         const int k = (t * 7 + i) % 48;
-        const std::uint64_t e = epoch.load(std::memory_order_relaxed);
-        const int got = cache.get_or_compute("d", id_bytes(k), e,
+        const int got = cache.get_or_compute("d", id_bytes(k),
                                              [&] { return k * 1000 + 7; });
         // Values are a pure function of the key: whatever raced, a
         // lookup can only ever observe the one correct value.
         EXPECT_EQ(got, k * 1000 + 7);
-        if (i % 64 == 0) cache.put("d", id_bytes(k), e, k * 1000 + 7);
+        if (i % 64 == 0) cache.put("d", id_bytes(k), k * 1000 + 7);
       }
     });
   }
   std::thread churn([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      epoch.fetch_add(1, std::memory_order_relaxed);
       (void)cache.stats();
       (void)cache.size();
       cache.clear();
@@ -217,8 +203,7 @@ TEST(SemStressCache, ConcurrentGetPutClearAndEpochChurn) {
   stop.store(true, std::memory_order_release);
   churn.join();
 
-  // Every lookup resolved to exactly one hit or one miss (an epoch
-  // invalidation is counted as a miss plus an invalidation).
+  // Every lookup resolved to exactly one hit or one miss.
   const auto s = cache.stats();
   EXPECT_EQ(s.hits + s.misses, static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_LE(cache.size(), 32u);

@@ -5,7 +5,7 @@
 #   --fast  incremental medlint only: files whose content hash hits the
 #           summary cache are skipped, so an unchanged tree lints in
 #           milliseconds. Skips clang-tidy and the sanitizer build. The
-#           full run (CI's ct-verify / hygiene jobs) stays authoritative —
+#           full run (CI's static-analysis job) stays authoritative —
 #           a changed callee can surface findings in an unchanged caller,
 #           which incremental mode won't see.
 #
