@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "bigint/montgomery.h"
 #include "ec/hash_to_point.h"
 #include "hash/sha256.h"
 #include "pairing/params.h"
@@ -122,6 +123,22 @@ RsaFixture& rsa_fixture() {
   static RsaFixture f;
   return f;
 }
+
+void BM_MontMul_1024(benchmark::State& state) {
+  // One 16-limb Montgomery multiply (the dispatched mul16 entry): the
+  // layer beneath the BM_Rsa*_1024 rows, as BM_FpMul_sec80 is for the
+  // pairing.
+  auto& f = rsa_fixture();
+  const bigint::Montgomery mont(f.key.pub.n);
+  std::vector<std::uint64_t> x(mont.limbs()), y(mont.limbs());
+  mont.to_mont_limbs(f.message, x.data());
+  mont.to_mont_limbs(f.half_exponent, y.data());
+  for (auto _ : state) {
+    mont.mul_limbs(x.data(), y.data(), x.data());
+    benchmark::DoNotOptimize(x.data());
+  }
+}
+BENCHMARK(BM_MontMul_1024);
 
 void BM_RsaPublicOp_1024(benchmark::State& state) {
   auto& f = rsa_fixture();

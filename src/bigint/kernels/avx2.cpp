@@ -129,11 +129,11 @@ void neg_avx2(const u64* a, const u64* n, std::size_t k, u64* out) {
 const Table& avx2_table() {
   static const Table kTable = {
       portable_table().mul4,      portable_table().mul8,
-      portable_table().mul4_wide, portable_table().mul8_wide,
-      portable_table().redc4,     portable_table().redc8,
-      add_avx2,                   sub_avx2,
-      neg_avx2,                   Kind::kAvx2,
-      "avx2",
+      portable_table().mul16,     portable_table().mul4_wide,
+      portable_table().mul8_wide, portable_table().redc4,
+      portable_table().redc8,     add_avx2,
+      sub_avx2,                   neg_avx2,
+      Kind::kAvx2,                "avx2",
   };
   return kTable;
 }

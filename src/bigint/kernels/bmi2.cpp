@@ -1,7 +1,9 @@
 // BMI2/ADX kernel tier: hand-scheduled CIOS Montgomery multiply and
 // plain wide multiply for K = 4 and K = 8 limbs using MULX (flag-free
 // 64x64 multiply) with the ADCX/ADOX dual carry chains, so the low and
-// high halves of each row retire on independent CF/OF chains.
+// high halves of each row retire on independent CF/OF chains. The K = 16
+// multiply (RSA-1024) is C++ composed from the 8-limb wide multiply; see
+// mul16_bmi2.
 //
 // Everything is inline asm, so no -m flag is needed at compile time —
 // the instructions are emitted literally and only ever executed when
@@ -32,6 +34,10 @@
 #include <cstdint>
 
 #include "bigint/kernels/kernels.h"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
 
 // See the scheduling notes above: the asm is register-exact and does
 // not compile under sanitizer instrumentation.
@@ -334,6 +340,68 @@ void mul4_wide_bmi2(const u64* a, const u64* b, u64* out) {
   out[7] = w2;
 }
 
+// --- 16-limb block Montgomery multiply ----------------------------------
+// Montgomery with radix B = 2^512 instead of 2^64, built from the 8-limb
+// wide multiply: T = a*b from four half-products (three when squaring),
+// then two reduction blocks, each m_j = low512(T_j * nprime) with
+// nprime = -n^{-1} mod B, T += m_j*n*B^j. The combined m = m_0 + m_1*B
+// is the unique value in [0, R) with a*b + m*n = 0 mod R (R = B^2), the
+// same m the 64-bit CIOS rows compose, so (a*b + m*n)/R — and with it the
+// single conditional subtraction — equals cios_fixed<16>'s bit for bit,
+// unreduced operands up to R-1 included (a*b + m*n <= 2(R-1)^2 < 2R^2,
+// so T fits in 33 limbs and the quotient in 17).
+
+constexpr std::size_t kBlockT = 33;
+
+// t[off .. kBlockT) += w[0 .. 16); the carry always runs to the top limb.
+// _addcarry_u64 compiles to one ADC chain (u128 sums do not here).
+void add_wide_at(u64* t, std::size_t off, const u64* w) {
+  unsigned char carry = 0;
+  unsigned long long s;
+  for (std::size_t i = 0; i < 16; ++i) {
+    carry = _addcarry_u64(carry, t[off + i], w[i], &s);
+    t[off + i] = s;
+  }
+  for (std::size_t i = off + 16; i < kBlockT; ++i) {
+    carry = _addcarry_u64(carry, t[i], 0, &s);
+    t[i] = s;
+  }
+}
+
+// One reduction block at limb offset `off` (0 or 8): clears t[off ..
+// off+8) by adding m*n*2^(64*off).
+void reduce_block(u64* t, std::size_t off, const u64* n, const u64* nprime,
+                  u64* w) {
+  u64 m[8];
+  mul8_wide_bmi2(t + off, nprime, w);
+  for (std::size_t i = 0; i < 8; ++i) m[i] = w[i];
+  mul8_wide_bmi2(m, n, w);
+  add_wide_at(t, off, w);
+  mul8_wide_bmi2(m, n + 8, w);
+  add_wide_at(t, off + 8, w);
+  scrub_scratch(m, 8);
+}
+
+void mul16_bmi2(const u64* a, const u64* b, const u64* n, const u64* nprime,
+                u64* out) {
+  u64 t[kBlockT];
+  u64 w[16];
+  mul8_wide_bmi2(a, b, t);
+  mul8_wide_bmi2(a + 8, b + 8, t + 16);
+  t[32] = 0;
+  mul8_wide_bmi2(a, b + 8, w);
+  add_wide_at(t, 8, w);
+  // Squaring (same pointer) skips the second cross product: w still
+  // holds a_0*a_1, which is added twice.
+  if (a != b) mul8_wide_bmi2(a + 8, b, w);
+  add_wide_at(t, 8, w);
+  reduce_block(t, 0, n, nprime, w);
+  reduce_block(t, 8, n, nprime, w);
+  cond_sub_tail<16>(t + 16, n, out);
+  scrub_scratch(t, kBlockT);
+  scrub_scratch(w, 16);
+}
+
 }  // namespace
 
 const Table& bmi2_table() {
@@ -341,8 +409,8 @@ const Table& bmi2_table() {
   // rather than multiply bound, so this tier shares the portable redc
   // (and the portable add/sub/neg — dispatch keeps tiers orthogonal).
   static const Table kTable = {
-      mul4_bmi2,          mul8_bmi2,      mul4_wide_bmi2,
-      mul8_wide_bmi2,     portable_table().redc4,
+      mul4_bmi2,          mul8_bmi2,      mul16_bmi2,
+      mul4_wide_bmi2,     mul8_wide_bmi2, portable_table().redc4,
       portable_table().redc8,             portable_table().add,
       portable_table().sub,               portable_table().neg,
       Kind::kBmi2,        "bmi2",

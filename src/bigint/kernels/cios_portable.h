@@ -1,7 +1,7 @@
 // Portable fixed-K CIOS Montgomery multiply — the historic
-// montgomery.cpp kernel, hoisted so both the portable dispatch tier and
-// Montgomery's non-accelerated widths (2/6/16 limbs) share one
-// definition. The loops fully unroll at compile time and the scratch
+// montgomery.cpp kernel, hoisted so the portable dispatch tier (K = 4,
+// 8, 16) and Montgomery's non-dispatched widths (2 and 6 limbs) share
+// one definition. The loops fully unroll at compile time and the scratch
 // limbs stay in registers, which is worth ~2x over the runtime-k loop.
 //
 // Behavioral contract (the accelerated tiers replicate it bit for bit):

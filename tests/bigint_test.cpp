@@ -237,6 +237,54 @@ TEST(Montgomery, MatchesNaivePowMod) {
   }
 }
 
+// Plain square-and-multiply over BigInt::mul_mod: the reference the
+// windowed, table-scanning Montgomery::pow must reproduce.
+BigInt square_and_multiply(const BigInt& base, const BigInt& e,
+                           const BigInt& m) {
+  BigInt r(1);
+  for (std::size_t i = e.bit_length(); i-- > 0;) {
+    r = r.mul_mod(r, m);
+    if (e.bit(i)) r = r.mul_mod(base, m);
+  }
+  return r.mod(m);
+}
+
+TEST(Montgomery, PowMatchesSquareAndMultiply) {
+  HmacDrbg rng(61);
+  // The fixed-width kernels (2, 4, 6, 8 and 16 limbs) and one generic
+  // width (12 limbs).
+  for (const std::size_t k : {2u, 4u, 6u, 8u, 16u, 12u}) {
+    const std::size_t bits = 64 * k;
+    BigInt m = (BigInt(1) << (bits - 1)) + BigInt::random_bits(rng, bits - 1);
+    if (m.is_even()) m += BigInt(1);
+    const Montgomery mont(m);
+    ASSERT_EQ(mont.limbs(), k);
+    const BigInt one(1);
+    const std::vector<BigInt> exponents = {
+        BigInt(0),
+        one,
+        BigInt(2),
+        one << 64,
+        m - one,
+        BigInt::random_bits(rng, bits),
+        // twice the modulus width, the shape of factor_from_exponents' k
+        (one << (2 * bits - 1)) + BigInt::random_bits(rng, 2 * bits - 1),
+    };
+    const std::vector<BigInt> bases = {BigInt(0), one, m - one,
+                                       BigInt::random_below(rng, m)};
+    for (const BigInt& e : exponents) {
+      for (const BigInt& b : bases) {
+        const BigInt expect = square_and_multiply(b, e, m);
+        EXPECT_EQ(mont.pow(b, e), expect)
+            << k << " limbs, e bits " << e.bit_length();
+        EXPECT_EQ(mont.pow_mont(mont.to_mont(b), e), mont.to_mont(expect))
+            << k << " limbs, e bits " << e.bit_length();
+        EXPECT_EQ(b.pow_mod(e, m), expect);
+      }
+    }
+  }
+}
+
 TEST(Montgomery, RejectsEvenModulus) {
   EXPECT_THROW(Montgomery(BigInt(10)), InvalidArgument);
   EXPECT_THROW(Montgomery(BigInt(1)), InvalidArgument);

@@ -4,17 +4,20 @@
 // unreduced operands up to R-1, where the single conditional
 // subtraction leaves a partially reduced residue that all tiers must
 // agree on. Inputs cover random values (reduced and unreduced) plus the
-// edge set {0, 1, p-1, R-1, R mod p} for every named parameter set, and
-// the lazy-reduction WideAcc paths are checked against plain Fp chains.
+// edge set {0, 1, p-1, R-1, R mod p} for every named parameter set and
+// two 16-limb RSA-width moduli, and the lazy-reduction WideAcc paths are
+// checked against plain Fp chains.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bigint/bigint.h"
 #include "bigint/kernels/kernels.h"
 #include "bigint/montgomery.h"
+#include "bigint/prime.h"
 #include "field/fp.h"
 #include "field/fp2.h"
 #include "field/lazy.h"
@@ -37,6 +40,49 @@ using u64 = std::uint64_t;
 
 constexpr const char* kNamedSets[] = {"toy64", "mid128", "sweep384",
                                       "sec80"};
+
+// One Montgomery context per modulus the fixed-width multiply tests
+// cover: every named parameter set's field, plus the 16-limb width no
+// named set reaches — a 1024-bit RSA modulus and a 1000-bit odd modulus
+// whose top limb is short (40 bits).
+struct NamedMont {
+  std::string name;
+  const Montgomery* mont;
+};
+
+const std::vector<NamedMont>& mul_contexts() {
+  static const std::vector<NamedMont> contexts = [] {
+    std::vector<NamedMont> out;
+    for (const char* name : kNamedSets) {
+      out.push_back({name, &pairing::named_params(name).curve->field()->mont()});
+    }
+    HmacDrbg rng(7110);
+    BigInt rsa_n;
+    do {
+      rsa_n = bigint::generate_prime(512, rng) * bigint::generate_prime(512, rng);
+    } while (rsa_n.bit_length() != 1024);
+    BigInt short_top = (BigInt(1) << 999) + BigInt::random_bits(rng, 999);
+    if (short_top.is_even()) short_top += BigInt(1);
+    static const Montgomery rsa1024(rsa_n);
+    static const Montgomery odd1000(short_top);
+    out.push_back({"rsa1024", &rsa1024});
+    out.push_back({"odd1000", &odd1000});
+    return out;
+  }();
+  return contexts;
+}
+
+// The fixed-width multiply entry of `t` for `mont`'s width (4, 8, 16).
+void fixed_mul(const kernels::Table& t, const Montgomery& mont, const u64* a,
+               const u64* b, u64* out) {
+  const u64* n = mont.modulus_limbs();
+  switch (mont.limbs()) {
+    case 4: return t.mul4(a, b, n, mont.n0inv(), out);
+    case 8: return t.mul8(a, b, n, mont.n0inv(), out);
+    case 16: return t.mul16(a, b, n, mont.nprime_limbs(), out);
+    default: FAIL() << "no fixed-width entry for " << mont.limbs() << " limbs";
+  }
+}
 
 std::vector<Kind> available_kinds() {
   std::vector<Kind> out;
@@ -81,25 +127,34 @@ std::vector<std::vector<u64>> operand_pool(const Montgomery& mont,
 TEST(KernelDiff, FixedWidthMulBitIdenticalAcrossKernels) {
   HmacDrbg rng(7101);
   const auto kinds = available_kinds();
-  for (const char* name : kNamedSets) {
-    const auto& mont = pairing::named_params(name).curve->field()->mont();
-    const std::size_t k = mont.limbs();
-    if (k != 4 && k != 8) continue;  // only these widths are dispatched
-    const auto pool = operand_pool(mont, rng, 12);
-    const u64* n = mont.modulus_limbs();
-    const u64 n0 = mont.n0inv();
+  const auto& pt = kernels::portable_table();
+  for (const auto& [name, mont] : mul_contexts()) {
+    const std::size_t k = mont->limbs();
+    if (k != 4 && k != 8 && k != 16) continue;  // the dispatched widths
+    const auto pool = operand_pool(*mont, rng, 12);
     for (const auto& a : pool) {
       for (const auto& b : pool) {
         std::vector<u64> ref(k);
-        const auto& pt = kernels::portable_table();
-        (k == 4 ? pt.mul4 : pt.mul8)(a.data(), b.data(), n, n0, ref.data());
+        fixed_mul(pt, *mont, a.data(), b.data(), ref.data());
         for (const Kind kind : kinds) {
-          const auto& t = kernels::table(kind);
           std::vector<u64> out(k, 0xa5a5a5a5a5a5a5a5ull);
-          (k == 4 ? t.mul4 : t.mul8)(a.data(), b.data(), n, n0, out.data());
+          fixed_mul(kernels::table(kind), *mont, a.data(), b.data(),
+                    out.data());
           EXPECT_EQ(out, ref) << name << " mul" << k << " diverges on "
                               << kernels::kind_name(kind);
         }
+      }
+      // Squaring through one pointer (mul16's three-product path) vs
+      // the portable product of two distinct copies.
+      const std::vector<u64> a_copy = a;
+      std::vector<u64> ref(k);
+      fixed_mul(pt, *mont, a.data(), a_copy.data(), ref.data());
+      for (const Kind kind : kinds) {
+        std::vector<u64> out(k, 0xa5a5a5a5a5a5a5a5ull);
+        fixed_mul(kernels::table(kind), *mont, a.data(), a.data(),
+                  out.data());
+        EXPECT_EQ(out, ref) << name << " square" << k << " diverges on "
+                            << kernels::kind_name(kind);
       }
     }
   }
@@ -107,30 +162,30 @@ TEST(KernelDiff, FixedWidthMulBitIdenticalAcrossKernels) {
 
 TEST(KernelDiff, FixedWidthMulAllowsAliasedOutput) {
   HmacDrbg rng(7102);
-  for (const char* name : {"mid128", "sec80"}) {
-    const auto& mont = pairing::named_params(name).curve->field()->mont();
-    const std::size_t k = mont.limbs();
-    const auto pool = operand_pool(mont, rng, 6);
-    const u64* n = mont.modulus_limbs();
-    const u64 n0 = mont.n0inv();
+  for (const auto& [name, mont] : mul_contexts()) {
+    if (name != "mid128" && name != "sec80" && mont->limbs() != 16) continue;
+    const std::size_t k = mont->limbs();
+    const auto pool = operand_pool(*mont, rng, 6);
     for (const Kind kind : available_kinds()) {
       const auto& t = kernels::table(kind);
-      const auto mul = (k == 4 ? t.mul4 : t.mul8);
+      const auto mul = [&](const u64* a, const u64* b, u64* out) {
+        fixed_mul(t, *mont, a, b, out);
+      };
       for (const auto& a : pool) {
         for (const auto& b : pool) {
           std::vector<u64> ref(k);
-          mul(a.data(), b.data(), n, n0, ref.data());
+          mul(a.data(), b.data(), ref.data());
           std::vector<u64> x = a;  // out aliases a
-          mul(x.data(), b.data(), n, n0, x.data());
-          EXPECT_EQ(x, ref);
+          mul(x.data(), b.data(), x.data());
+          EXPECT_EQ(x, ref) << name;
           std::vector<u64> y = b;  // out aliases b
-          mul(a.data(), y.data(), n, n0, y.data());
-          EXPECT_EQ(y, ref);
+          mul(a.data(), y.data(), y.data());
+          EXPECT_EQ(y, ref) << name;
           std::vector<u64> z = a;  // squaring, all three alias
-          mul(z.data(), z.data(), n, n0, z.data());
+          mul(z.data(), z.data(), z.data());
           std::vector<u64> sq(k);
-          mul(a.data(), a.data(), n, n0, sq.data());
-          EXPECT_EQ(z, sq);
+          mul(a.data(), a.data(), sq.data());
+          EXPECT_EQ(z, sq) << name;
         }
       }
     }
@@ -288,8 +343,8 @@ TEST(KernelDiff, ModularAddSubNegBitIdenticalAcrossKernels) {
 
 TEST(KernelDiff, MulMatchesBigIntReferenceOnReducedInputs) {
   HmacDrbg rng(7106);
-  for (const char* name : kNamedSets) {
-    const auto& mont = pairing::named_params(name).curve->field()->mont();
+  for (const auto& [name, mont_ptr] : mul_contexts()) {
+    const Montgomery& mont = *mont_ptr;
     const std::size_t k = mont.limbs();
     const BigInt& p = mont.modulus();
     for (int iter = 0; iter < 32; ++iter) {
