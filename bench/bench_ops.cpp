@@ -110,7 +110,7 @@ struct RsaFixture {
     rsa::KeyGenOptions opts;
     opts.modulus_bits = 1024;
     key = rsa::generate_key(opts, rng);
-    half_exponent = bigint::BigInt::random_bits(rng, 512);
+    half_exponent = rsa::split_exponent(key.d, key.phi, rng).first;
     message = bigint::BigInt::random_below(rng, key.pub.n);
   }
   hash::HmacDrbg rng;
@@ -157,9 +157,9 @@ void BM_RsaPrivateOp_1024(benchmark::State& state) {
 BENCHMARK(BM_RsaPrivateOp_1024);
 
 void BM_RsaHalfExponent_1024(benchmark::State& state) {
-  // The per-side cost of a mediated RSA operation (d_user and d_sem are
-  // full-size random exponents, so this matches private_op; shown
-  // separately for the T2 decomposition).
+  // The per-side cost of a mediated RSA operation: d_user from
+  // rsa::split_exponent is uniform below phi(n), so full size, and this
+  // matches private_op; shown separately for the T2 decomposition.
   auto& f = rsa_fixture();
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.message.pow_mod(f.half_exponent, f.key.pub.n));

@@ -38,56 +38,88 @@ std::vector<std::shared_ptr<const PrimeField>> test_fields() {
   };
 }
 
+// The Fp tests add every named parameter set's field: those are the
+// widths the dispatched limb kernels run on.
+std::vector<std::shared_ptr<const PrimeField>> fp_fields() {
+  auto out = test_fields();
+  for (const char* name : {"toy64", "mid128", "sweep384", "sec80"}) {
+    out.push_back(pairing::named_params(name).curve->field());
+  }
+  return out;
+}
+
+// Operand values for the Fp tests: edges of the limb-level add/sub/neg
+// carry and borrow verdicts, then `randoms` uniform values. Fp holds
+// x·R mod p, so besides the values 0, 1, p-1 and R mod p the pool holds
+// R^-1 and -R^-1, whose limbs are 1 and p-1. The tests compare results
+// with Fp's operator==, limb for limb, against the canonical encoding:
+// an unreduced result (p in place of 0) still converts to the right
+// value.
+std::vector<BigInt> fp_operands(const PrimeField& f, HmacDrbg& rng,
+                                int randoms) {
+  const BigInt& p = f.modulus();
+  const BigInt r_mod_p = (BigInt(1) << (64 * f.mont().limbs())).mod(p);
+  const BigInt r_inv = r_mod_p.mod_inverse(p);
+  std::vector<BigInt> pool = {BigInt(0), BigInt(1), p - BigInt(1),
+                              r_mod_p,   r_inv,     p - r_inv};
+  for (int i = 0; i < randoms; ++i) {
+    pool.push_back(BigInt::random_below(rng, p));
+  }
+  return pool;
+}
+
 // ---------------------------------------------------------------------------
 // Fp vs BigInt reference
 // ---------------------------------------------------------------------------
 
 TEST(ArithDiff, FpValueOpsMatchBigInt) {
   HmacDrbg rng(9001);
-  for (const auto& f : test_fields()) {
+  for (const auto& f : fp_fields()) {
     const BigInt& p = f->modulus();
-    for (int iter = 0; iter < 50; ++iter) {
-      const BigInt av = BigInt::random_below(rng, p);
-      const BigInt bv = BigInt::random_below(rng, p);
-      const Fp a = f->from_bigint(av), b = f->from_bigint(bv);
-
-      EXPECT_EQ((a + b).to_bigint(), av.add_mod(bv, p));
-      EXPECT_EQ((a - b).to_bigint(), av.sub_mod(bv, p));
-      EXPECT_EQ((a * b).to_bigint(), av.mul_mod(bv, p));
-      EXPECT_EQ((-a).to_bigint(), BigInt(0).sub_mod(av, p));
-      EXPECT_EQ(a.square().to_bigint(), av.mul_mod(av, p));
-      EXPECT_EQ(a.dbl().to_bigint(), av.add_mod(av, p));
+    const auto pool = fp_operands(*f, rng, 10);
+    for (const BigInt& av : pool) {
+      const Fp a = f->from_bigint(av);
+      EXPECT_EQ(-a, f->from_bigint(BigInt(0).sub_mod(av, p)));
+      EXPECT_EQ(a.square(), f->from_bigint(av.mul_mod(av, p)));
+      EXPECT_EQ(a.dbl(), f->from_bigint(av.add_mod(av, p)));
+      for (const BigInt& bv : pool) {
+        const Fp b = f->from_bigint(bv);
+        EXPECT_EQ(a + b, f->from_bigint(av.add_mod(bv, p)));
+        EXPECT_EQ(a - b, f->from_bigint(av.sub_mod(bv, p)));
+        EXPECT_EQ(a * b, f->from_bigint(av.mul_mod(bv, p)));
+      }
     }
   }
 }
 
 TEST(ArithDiff, FpInplaceOpsMatchBigInt) {
   HmacDrbg rng(9002);
-  for (const auto& f : test_fields()) {
+  for (const auto& f : fp_fields()) {
     const BigInt& p = f->modulus();
-    for (int iter = 0; iter < 50; ++iter) {
-      const BigInt av = BigInt::random_below(rng, p);
-      const BigInt bv = BigInt::random_below(rng, p);
-      const Fp a = f->from_bigint(av), b = f->from_bigint(bv);
-
+    const auto pool = fp_operands(*f, rng, 10);
+    for (const BigInt& av : pool) {
+      const Fp a = f->from_bigint(av);
       Fp t = a;
-      t += b;
-      EXPECT_EQ(t.to_bigint(), av.add_mod(bv, p));
-      t = a;
-      t -= b;
-      EXPECT_EQ(t.to_bigint(), av.sub_mod(bv, p));
-      t = a;
-      t *= b;
-      EXPECT_EQ(t.to_bigint(), av.mul_mod(bv, p));
-      t = a;
       t.square_inplace();
-      EXPECT_EQ(t.to_bigint(), av.mul_mod(av, p));
+      EXPECT_EQ(t, f->from_bigint(av.mul_mod(av, p)));
       t = a;
       t.dbl_inplace();
-      EXPECT_EQ(t.to_bigint(), av.add_mod(av, p));
+      EXPECT_EQ(t, f->from_bigint(av.add_mod(av, p)));
       t = a;
       t.negate_inplace();
-      EXPECT_EQ(t.to_bigint(), BigInt(0).sub_mod(av, p));
+      EXPECT_EQ(t, f->from_bigint(BigInt(0).sub_mod(av, p)));
+      for (const BigInt& bv : pool) {
+        const Fp b = f->from_bigint(bv);
+        t = a;
+        t += b;
+        EXPECT_EQ(t, f->from_bigint(av.add_mod(bv, p)));
+        t = a;
+        t -= b;
+        EXPECT_EQ(t, f->from_bigint(av.sub_mod(bv, p)));
+        t = a;
+        t *= b;
+        EXPECT_EQ(t, f->from_bigint(av.mul_mod(bv, p)));
+      }
     }
   }
 }
@@ -95,18 +127,17 @@ TEST(ArithDiff, FpInplaceOpsMatchBigInt) {
 // The in-place ops promise alias safety: x op= x must equal x op x.
 TEST(ArithDiff, FpInplaceOpsAliasSafe) {
   HmacDrbg rng(9003);
-  for (const auto& f : test_fields()) {
+  for (const auto& f : fp_fields()) {
     const BigInt& p = f->modulus();
-    for (int iter = 0; iter < 25; ++iter) {
-      const BigInt av = BigInt::random_below(rng, p);
+    for (const BigInt& av : fp_operands(*f, rng, 25)) {
       const Fp a = f->from_bigint(av);
 
       Fp t = a;
       t += t;
-      EXPECT_EQ(t.to_bigint(), av.add_mod(av, p));
+      EXPECT_EQ(t, f->from_bigint(av.add_mod(av, p)));
       t = a;
       t *= t;
-      EXPECT_EQ(t.to_bigint(), av.mul_mod(av, p));
+      EXPECT_EQ(t, f->from_bigint(av.mul_mod(av, p)));
       t = a;
       t -= t;
       EXPECT_TRUE(t.is_zero());

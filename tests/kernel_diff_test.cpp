@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -84,9 +85,11 @@ void fixed_mul(const kernels::Table& t, const Montgomery& mont, const u64* a,
   }
 }
 
+constexpr Kind kKinds[] = {Kind::kPortable, Kind::kBmi2};
+
 std::vector<Kind> available_kinds() {
   std::vector<Kind> out;
-  for (const Kind kind : {Kind::kPortable, Kind::kAvx2, Kind::kBmi2}) {
+  for (const Kind kind : kKinds) {
     if (kernels::cpu_supports(kind)) out.push_back(kind);
   }
   return out;
@@ -100,8 +103,8 @@ std::vector<u64> to_limbs(const BigInt& v, std::size_t k) {
   return out;
 }
 
-// The fuzz operand pool for one field: the edge set the issue names,
-// reduced randoms, and unreduced randoms anywhere in [0, R).
+// The fuzz operand pool for one field: the edge set {0, 1, p-1, R-1,
+// R mod p}, reduced randoms, and unreduced randoms anywhere in [0, R).
 std::vector<std::vector<u64>> operand_pool(const Montgomery& mont,
                                            HmacDrbg& rng, int randoms) {
   const std::size_t k = mont.limbs();
@@ -280,64 +283,6 @@ TEST(KernelDiff, RedcBitIdenticalAcrossKernelsUpToBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// Width-generic add/sub/neg (the AVX2 tier's accelerated entries)
-// ---------------------------------------------------------------------------
-
-TEST(KernelDiff, ModularAddSubNegBitIdenticalAcrossKernels) {
-  HmacDrbg rng(7105);
-  const auto kinds = available_kinds();
-  for (const char* name : kNamedSets) {
-    const auto& mont = pairing::named_params(name).curve->field()->mont();
-    const std::size_t k = mont.limbs();
-    const BigInt& p = mont.modulus();
-    // add/sub/neg operate on REDUCED operands only; restrict the edge
-    // set accordingly (R-1 and unreduced randoms are out of contract).
-    std::vector<std::vector<u64>> pool;
-    pool.push_back(std::vector<u64>(k, 0));
-    pool.push_back(to_limbs(BigInt(1), k));
-    pool.push_back(to_limbs(p - BigInt(1), k));
-    pool.push_back(to_limbs(mont.one(), k));
-    for (int i = 0; i < 16; ++i) {
-      pool.push_back(to_limbs(BigInt::random_below(rng, p), k));
-    }
-    const u64* n = mont.modulus_limbs();
-    const auto& pt = kernels::portable_table();
-    for (const auto& a : pool) {
-      std::vector<u64> nref(k);
-      pt.neg(a.data(), n, k, nref.data());
-      for (const Kind kind : kinds) {
-        const auto& t = kernels::table(kind);
-        std::vector<u64> out(k, 0xa5a5a5a5a5a5a5a5ull);
-        t.neg(a.data(), n, k, out.data());
-        EXPECT_EQ(out, nref) << name << " neg diverges on "
-                             << kernels::kind_name(kind);
-        std::vector<u64> ali = a;  // aliased in place
-        t.neg(ali.data(), n, k, ali.data());
-        EXPECT_EQ(ali, nref);
-      }
-      for (const auto& b : pool) {
-        std::vector<u64> aref(k), sref(k);
-        pt.add(a.data(), b.data(), n, k, aref.data());
-        pt.sub(a.data(), b.data(), n, k, sref.data());
-        for (const Kind kind : kinds) {
-          const auto& t = kernels::table(kind);
-          std::vector<u64> ao(k), so(k);
-          t.add(a.data(), b.data(), n, k, ao.data());
-          t.sub(a.data(), b.data(), n, k, so.data());
-          EXPECT_EQ(ao, aref) << name << " add diverges on "
-                              << kernels::kind_name(kind);
-          EXPECT_EQ(so, sref) << name << " sub diverges on "
-                              << kernels::kind_name(kind);
-          std::vector<u64> ali = a;  // out aliases a
-          t.add(ali.data(), b.data(), n, k, ali.data());
-          EXPECT_EQ(ali, aref);
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Montgomery-level correctness of the dispatched multiply
 // ---------------------------------------------------------------------------
 
@@ -471,10 +416,29 @@ TEST(KernelDiff, LazyFp2MulMatchesSchoolbook) {
 // Dispatch surface
 // ---------------------------------------------------------------------------
 
+// The tier dispatch must pick: the tier MEDCRYPT_KERNEL names, clamped
+// down to what this CPU supports; otherwise (unset or an unknown value)
+// the best supported tier.
+Kind expected_tier() {
+  const Kind best =
+      kernels::cpu_supports(Kind::kBmi2) ? Kind::kBmi2 : Kind::kPortable;
+  const char* env = std::getenv("MEDCRYPT_KERNEL");
+  if (env == nullptr) return best;
+  for (const Kind kind : kKinds) {
+    if (std::string(env) == kernels::kind_name(kind))
+      return kernels::cpu_supports(kind) ? kind : Kind::kPortable;
+  }
+  return best;
+}
+
 TEST(KernelDiff, ActiveTableIsAnAvailableTier) {
   const auto& act = kernels::active();
   EXPECT_TRUE(kernels::cpu_supports(act.kind));
   EXPECT_STREQ(act.name, kernels::kind_name(act.kind));
+  const char* env = std::getenv("MEDCRYPT_KERNEL");
+  EXPECT_EQ(act.kind, expected_tier())
+      << "MEDCRYPT_KERNEL=" << (env ? env : "(unset)") << " dispatched "
+      << act.name;
   // Montgomery contexts must have picked up the dispatched table.
   const auto& mont = pairing::named_params("toy64").curve->field()->mont();
   EXPECT_EQ(&mont.kernel(), &act);

@@ -12,8 +12,7 @@
 // per-function summaries (param escapes into return values, stores into
 // members/globals beyond the call, out-parameter flows, wipes) that are
 // linked and fixpointed into a whole-program view, and the dataflow
-// engine (taint.cpp) consumes those summaries at call sites. File facts
-// are cached by content hash (--summary-cache) so re-lints stay fast.
+// engine (taint.cpp) consumes those summaries at call sites.
 // A concurrency pass (concurrency.cpp) checks the SEM service's lock
 // discipline against `// medlint: guarded_by/published_by/requires_lock/
 // relaxed_ok` annotations.
@@ -69,7 +68,7 @@
 //   asm-audit              GCC-extended-asm parser: clobber-list
 //                          completeness, output-constraint consistency,
 //                          counter-driven-branches-only discipline for
-//                          the BMI2/AVX2 kernels (asmaudit.cpp)
+//                          the BMI2 kernels (asmaudit.cpp)
 //
 // Suppression, most specific first:
 //   * `// medlint: allow(<check-id>)` on the finding's line or the line
@@ -84,15 +83,11 @@
 // Usage:
 //   medlint --src <dir> [--src <dir> ...] [--allowlist <file>]
 //           [--baseline <file>] [--extern-allowlist <file>]
-//           [--summary-cache <file>] [--sarif <file>] [--stats]
-//           [--check <id,id,...>] [--incremental] [--verbose]
+//           [--sarif <file>] [--stats] [--check <id,id,...>] [--verbose]
 //   medlint --list-checks
 //
 // --check restricts reporting (and stale-baseline enforcement) to the
-// named check ids. --incremental re-analyzes only files whose content
-// hash missed the summary cache — the fast pre-commit mode; the full
-// run in CI remains authoritative (a changed callee can surface new
-// findings in an unchanged caller, which incremental mode won't see).
+// named check ids.
 //
 // Exit status: 0 clean, 1 violations found, 2 usage/IO error (including
 // a stale --baseline entry that matches no current finding).
@@ -100,7 +95,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -731,11 +725,9 @@ int main(int argc, char** argv) {
   std::string allowlist_path;
   std::string baseline_path;
   std::string extern_allow_path;
-  std::string cache_path;
   std::string sarif_path;
   bool verbose = false;
   bool stats = false;
-  bool incremental = false;
   std::set<std::string> enabled;  // empty = every check
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -747,16 +739,12 @@ int main(int argc, char** argv) {
       baseline_path = argv[++i];
     } else if (arg == "--extern-allowlist" && i + 1 < argc) {
       extern_allow_path = argv[++i];
-    } else if (arg == "--summary-cache" && i + 1 < argc) {
-      cache_path = argv[++i];
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg == "--stats") {
       stats = true;
-    } else if (arg == "--incremental") {
-      incremental = true;
     } else if (arg == "--check" && i + 1 < argc) {
       std::stringstream ids(argv[++i]);
       std::string id;
@@ -779,9 +767,8 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "usage: medlint --src <dir> [--src <dir>...] "
                    "[--allowlist <file>] [--baseline <file>] "
-                   "[--extern-allowlist <file>] [--summary-cache <file>] "
-                   "[--sarif <file>] [--stats] [--check <id,...>] "
-                   "[--incremental] [--verbose] [--list-checks]\n";
+                   "[--extern-allowlist <file>] [--sarif <file>] [--stats] "
+                   "[--check <id,...>] [--verbose] [--list-checks]\n";
       return 2;
     }
   }
@@ -816,17 +803,15 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
 
   // Pass 1: lex every file once, build its structural model, and compute
-  // (or fetch from the content-hash cache) its function facts. Linking
-  // merges the per-file facts and runs the store/return fixpoint so that
-  // pass 2 sees every callee's summary regardless of file order.
+  // its function facts. Linking merges the per-file facts and runs the
+  // store/return fixpoint so that pass 2 sees every callee's summary
+  // regardless of file order.
   struct Unit {
     fs::path path;
     std::vector<std::string> lines;  // raw text (asm-audit needs literals)
     medlint::LexedFile lf;
     medlint::FileModel model;
-    bool cached = false;  // facts served by the content-hash cache
   };
-  medlint::SummaryCache cache(cache_path);
   std::vector<Unit> units;
   std::vector<medlint::FileFacts> all_facts;
   units.reserve(files.size());
@@ -835,25 +820,11 @@ int main(int argc, char** argv) {
     Unit u;
     u.path = file;
     u.lines = read_lines(file);
-    std::string joined;
-    for (const std::string& l : u.lines) {
-      joined += l;
-      joined += '\n';
-    }
     u.lf = medlint::lex_file(u.lines);
     u.model = medlint::build_file_model(u.lf);
-    const std::uint64_t h = medlint::fnv1a_hash(joined);
-    medlint::FileFacts facts;
-    if (cache.lookup(file.string(), h, &facts)) {
-      u.cached = true;
-    } else {
-      facts = medlint::compute_file_facts(u.lf, u.model);
-      cache.store(file.string(), h, facts);
-    }
-    all_facts.push_back(std::move(facts));
+    all_facts.push_back(medlint::compute_file_facts(u.lf, u.model));
     units.push_back(std::move(u));
   }
-  cache.save();
   medlint::Program prog = medlint::link_program(all_facts);
   prog.extern_allow = std::move(extern_allow);
 
@@ -878,18 +849,14 @@ int main(int argc, char** argv) {
     return enabled.empty() || enabled.count(id) != 0;
   };
 
-  // Pass 2: per-file checks, with the linked program in scope. In
-  // --incremental mode only cache-miss (changed) files are re-analyzed.
+  // Pass 2: per-file checks, with the linked program in scope.
   std::vector<Violation> violations;
   std::size_t allowlisted = 0;
   std::size_t baselined = 0;
   std::size_t inline_suppressed = 0;
-  std::size_t analyzed = 0;
   std::vector<std::size_t> baseline_hits(baseline.size(), 0);
   std::map<std::string, std::size_t> per_check;
   for (const Unit& u : units) {
-    if (incremental && u.cached) continue;
-    ++analyzed;
     const std::string file = u.path.string();
     std::vector<Violation> found;
     for (std::size_t i = 0; i < u.lf.stripped.size(); ++i) {
@@ -945,12 +912,10 @@ int main(int argc, char** argv) {
   // A baseline entry that no longer matches anything is debt already
   // paid: keeping it would let a *new* finding of the same shape slip
   // through unreviewed. Hard error so the file only ever shrinks.
-  // --check runs see only a slice of the findings and --incremental runs
-  // only a slice of the files, so enforcement is scoped accordingly (the
-  // full CI run remains the authority on staleness).
+  // --check runs see only a slice of the findings, so enforcement is
+  // scoped to the enabled checks.
   bool stale = false;
   for (std::size_t i = 0; i < baseline.size(); ++i) {
-    if (incremental) break;
     if (!enabled.empty() && baseline[i].check != "*" &&
         enabled.count(baseline[i].check) == 0)
       continue;
@@ -980,18 +945,10 @@ int main(int argc, char** argv) {
   if (stats) {
     const auto ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0).count();
-    const std::size_t lookups = cache.hits() + cache.misses();
     std::cout << "medlint stats:\n"
               << "  analysis time: " << ms << " ms over " << files.size()
-              << " file(s)\n";
-    if (incremental)
-      std::cout << "  incremental: re-analyzed " << analyzed << " of "
-                << files.size() << " file(s)\n";
-    std::cout << "  summary cache: " << cache.hits() << " hit(s), "
-              << cache.misses() << " miss(es)";
-    if (lookups > 0)
-      std::cout << " (" << (100 * cache.hits() / lookups) << "% hit rate)";
-    std::cout << "\n  findings by check (pre-suppression):\n";
+              << " file(s)\n"
+              << "  findings by check (pre-suppression):\n";
     if (per_check.empty()) std::cout << "    (none)\n";
     for (const auto& [check, n] : per_check)
       std::cout << "    " << check << ": " << n << "\n";

@@ -11,14 +11,10 @@
 //   - flows into a by-reference out-parameter;
 //   - is wiped by the function (secure_wipe / .wipe() / .clear()).
 //
-// File-level facts are a pure function of the file's bytes, so they are
-// cached keyed by an FNV-1a content hash (--summary-cache); linking and
-// the fixpoint over call edges re-run each invocation (they are cheap and
-// depend on the whole file set).
+// Every run computes each file's facts, then links them and runs the
+// fixpoint over call edges across the whole file set.
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <set>
 #include <string>
@@ -143,29 +139,5 @@ FileFacts compute_file_facts(const LexedFile& lf, const FileModel& model);
 // Merges per-file facts, runs the store/return fixpoint over call edges,
 // and resolves stores against the merged class table.
 Program link_program(const std::vector<FileFacts>& files);
-
-std::uint64_t fnv1a_hash(const std::string& data);
-
-// On-disk cache of FileFacts keyed by (path, content hash).
-class SummaryCache {
- public:
-  explicit SummaryCache(std::string path);  // empty path = disabled
-  bool lookup(const std::string& file, std::uint64_t hash, FileFacts* out);
-  void store(const std::string& file, std::uint64_t hash,
-             const FileFacts& facts);
-  void save() const;
-  std::size_t hits() const { return hits_; }
-  std::size_t misses() const { return misses_; }
-
- private:
-  struct Entry {
-    std::uint64_t hash = 0;
-    FileFacts facts;
-  };
-  std::string path_;
-  std::map<std::string, Entry> entries_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
-};
 
 }  // namespace medlint
