@@ -1,7 +1,7 @@
 // Jacobian-coordinate arithmetic: the inversion-free fast path.
 //
-// Affine group operations cost one field inversion each (~500x a
-// multiplication at 512 bits), which made scalar multiplication and the
+// Affine group operations cost one field inversion each (~75x a
+// multiplication at 512 bits), which makes scalar multiplication and the
 // Miller loop inversion-bound. Jacobian coordinates (x = X/Z^2,
 // y = Y/Z^3) defer the single inversion to the final conversion.
 //

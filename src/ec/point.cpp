@@ -97,7 +97,9 @@ Point Point::mul_affine(const BigInt& k) const {
 
 bool Point::in_subgroup() const {
   if (!curve_) throw InvalidArgument("Point: in_subgroup of default point");
-  return mul(curve_->order()).is_infinity();
+  // Only q·P = O matters, so the ladder's Jacobian result is read as is:
+  // no affine conversion (and no field inversion) for the answer.
+  return jac_mul_raw(*this, curve_->order()).inf;
 }
 
 Bytes Point::to_bytes() const {

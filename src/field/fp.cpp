@@ -7,12 +7,14 @@
 namespace medcrypt::field {
 
 PrimeField::PrimeField(BigInt p)
-    : mont_(std::move(p)), byte_size_((mont_.modulus().bit_length() + 7) / 8) {
+    : mont_(std::move(p)), byte_size_((mont_.modulus().bit_length() + 7) / 8),
+      safegcd_(mont_.modulus()), r3_(mont_.limbs()) {
   // Exponents Fp recomputed per call before this cache existed.
   const BigInt& m = mont_.modulus();
   legendre_exp_ = (m - BigInt(1)) >> 1;
-  fermat_exp_ = m - BigInt(2);
   if (m.bit(0) && m.bit(1)) sqrt_exp_ = (m + BigInt(1)) >> 2;  // p ≡ 3 (mod 4)
+  const BigInt& r = mont_.one();  // R mod p
+  mont_.pad_limbs(r.mul_mod(r, m).mul_mod(r, m), r3_.data());
 }
 
 std::shared_ptr<const PrimeField> PrimeField::make(BigInt p) {
@@ -162,10 +164,13 @@ bool Fp::operator==(const Fp& o) const {
 Fp Fp::inverse() const {
   check_bound("inverse");
   if (is_zero()) throw InvalidArgument("Fp: inverse of zero");
-  // Fermat: (aR)^(p-2) under Montgomery multiplication is a^(p-2)·R, so
-  // the element never leaves the Montgomery domain (the old path
-  // converted out, ran the extended GCD and converted back in).
-  return pow(field_->fermat_exponent());
+  // The limbs hold aR; as a plain residue its inverse is a^-1·R^-1, and
+  // the Montgomery product with R^3 gives a^-1·R^-1·R^3·R^-1 = a^-1·R.
+  Fp r(field_, LimbStore(store_.size()));
+  field_->safegcd().invert(store_.data(), r.store_.data());
+  field_->mont().mul_limbs(r.store_.data(), field_->r3_limbs(),
+                           r.store_.data());
+  return r;
 }
 
 Fp Fp::pow(const BigInt& e) const {

@@ -13,12 +13,14 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "bigint/bigint.h"
 #include "bigint/montgomery.h"
 #include "common/bytes.h"
 #include "common/random_source.h"
 #include "field/limb_store.h"
+#include "field/safegcd.h"
 
 namespace medcrypt::field {
 
@@ -64,8 +66,12 @@ class PrimeField : public std::enable_shared_from_this<PrimeField> {
   /// (p+1)/4 when p ≡ 3 (mod 4), zero otherwise (cached; Fp::sqrt).
   const BigInt& sqrt_exponent() const { return sqrt_exp_; }
 
-  /// p-2, the Fermat-inversion exponent (cached; Fp::inverse).
-  const BigInt& fermat_exponent() const { return fermat_exp_; }
+  /// The constant-time inverter for p (Fp::inverse).
+  const SafeGcd& safegcd() const { return safegcd_; }
+
+  /// R^3 mod p zero-padded to k limbs: one Montgomery multiply by it
+  /// turns the plain inverse (aR)^-1 into the Montgomery form a^-1·R.
+  const std::uint64_t* r3_limbs() const { return r3_.data(); }
 
  private:
   explicit PrimeField(BigInt p);
@@ -74,7 +80,8 @@ class PrimeField : public std::enable_shared_from_this<PrimeField> {
   std::size_t byte_size_;
   BigInt legendre_exp_;  // (p-1)/2
   BigInt sqrt_exp_;      // (p+1)/4 for p ≡ 3 (mod 4), else zero
-  BigInt fermat_exp_;    // p-2
+  SafeGcd safegcd_;
+  std::vector<std::uint64_t> r3_;  // R^3 mod p, k limbs
 };
 
 /// Element of a prime field, internally in Montgomery form.
@@ -109,8 +116,11 @@ class Fp {
   void dbl_inplace();
   void negate_inplace();
 
-  /// Multiplicative inverse by Fermat (a^(p-2), staying in the
-  /// Montgomery domain); throws InvalidArgument on zero.
+  /// Multiplicative inverse; throws InvalidArgument on zero. Constant
+  /// time in the element: a fixed-count Bernstein–Yang safegcd
+  /// (field/safegcd.h) on the Montgomery limbs aR gives (aR)^-1, and
+  /// one Montgomery multiply by R^3 mod p returns a^-1·R. Bit-identical
+  /// to pow(p - 2); allocation-free for the named parameter sets.
   Fp inverse() const;
 
   /// this^e for e >= 0.

@@ -89,9 +89,10 @@ class Fp2 {
 
 /// In-place simultaneous inversion (Montgomery's trick): one inversion
 /// plus 3(n-1) multiplications replace n inversions — and each Fp2
-/// inversion is a ~90 µs Fermat power at the paper's parameters, which
-/// is what the batched pairing final exponentiation amortizes. Throws
-/// InvalidArgument if any element is zero (none are inverted then).
+/// inversion (an Fp inversion, ~75 multiplications at the paper's
+/// parameters, plus the norm) is what the batched pairing final
+/// exponentiation amortizes. Throws InvalidArgument if any element is
+/// zero (none are inverted then).
 void batch_inverse(std::span<Fp2> xs);
 
 }  // namespace medcrypt::field

@@ -22,13 +22,17 @@ Point sign(const pairing::ParamSet& group, const BigInt& secret,
 
 bool verify(const pairing::ParamSet& group, const Point& pub,
             BytesView message, const Point& signature) {
+  return verify_hashed(group, pub, hash_message(group, message), signature);
+}
+
+bool verify_hashed(const pairing::ParamSet& group, const Point& pub,
+                   const Point& h, const Point& signature) {
   if (signature.is_infinity() || !signature.in_subgroup()) return false;
   const pairing::TatePairing pairing(group.curve);
   // ê(P, σ) = ê(R, h)  ⇔  ê(P, σ)·ê(−R, h) == 1 — one product
   // multi-pairing (shared squaring chain, single final exponentiation)
   // instead of two independent pairings, with both fixed first
   // arguments' Miller programs served from the prepared cache.
-  const Point h = hash_message(group, message);
   const Point neg_pub = -pub;
   const auto prep_gen =
       pairing::shared_prepared(pairing, group.generator, "gdh.verify");

@@ -43,9 +43,18 @@ Point hash_message(const pairing::ParamSet& group, BytesView message);
 Point sign(const pairing::ParamSet& group, const BigInt& secret,
            BytesView message);
 
-/// Verifies via the DDH check ê(P, σ) = ê(R, h(M)).
+/// Verifies via the DDH check ê(P, σ) = ê(R, h(M)): hashes the message
+/// and runs verify_hashed.
 bool verify(const pairing::ParamSet& group, const Point& pub,
             BytesView message, const Point& signature);
+
+/// The same check for a caller that already holds h = h(M) (the §5
+/// user, who hashed M for its own half): rejects σ at infinity or
+/// outside the order-q subgroup, then tests ê(P, σ) = ê(R, h). `h` is
+/// trusted to be hash_message's output; third parties verify with the
+/// message.
+bool verify_hashed(const pairing::ParamSet& group, const Point& pub,
+                   const Point& h, const Point& signature);
 
 /// Additive 2-of-2 key split for the mediated variant (§5):
 /// x = x_user + x_sem (mod q). Returns {x_user, x_sem}.

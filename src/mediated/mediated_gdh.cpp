@@ -113,8 +113,9 @@ Point MediatedGdhUser::sign(BytesView message, const GdhMediator& sem,
   }
 
   const Point signature = s_sem + h.mul(user_key_);
-  // §5 protocol step 3: the user checks validity before releasing.
-  if (!gdh::verify(group_, public_key_, message, signature)) {
+  // §5 protocol step 3: the user checks validity before releasing,
+  // against the h(M) it already computed for its own half.
+  if (!gdh::verify_hashed(group_, public_key_, h, signature)) {
     throw Error("MediatedGdhUser::sign: assembled signature invalid");
   }
   return signature;

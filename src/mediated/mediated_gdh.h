@@ -93,7 +93,9 @@ class MediatedGdhUser {
   const Point& public_key() const { return public_key_; }
 
   /// Runs the §5 signing protocol, including the user's final
-  /// verification of the assembled signature. Throws RevokedError if the
+  /// verification of the assembled signature (gdh::verify_hashed on the
+  /// h(M) the user computed for its own half, so M is hashed once per
+  /// sign on the user side). Throws RevokedError if the
   /// SEM refuses, Error if the assembled signature does not verify
   /// (e.g. the SEM misbehaved).
   Point sign(BytesView message, const GdhMediator& sem,

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include "bigint/bigint.h"
+#include "bigint/prime.h"
 #include "common/error.h"
 #include "ec/fixed_base.h"
 #include "ec/jacobian.h"
 #include "field/fp.h"
 #include "field/fp2.h"
+#include "field/safegcd.h"
 #include "hash/drbg.h"
 #include "pairing/params.h"
 
@@ -145,21 +147,100 @@ TEST(ArithDiff, FpInplaceOpsAliasSafe) {
   }
 }
 
+// The inversion tests add two fields wider than LimbStore's 8 inline
+// limbs: the Mersenne prime 2^521 - 1 (9 limbs of all ones) and a
+// random 1100-bit prime (18 limbs, the generic CIOS multiply).
+std::vector<std::shared_ptr<const PrimeField>> inverse_fields() {
+  auto out = fp_fields();
+  out.push_back(PrimeField::make((BigInt(1) << 521) - BigInt(1)));
+  HmacDrbg prime_rng(9010);
+  out.push_back(PrimeField::make(bigint::generate_prime(1100, prime_rng)));
+  return out;
+}
+
+// Fp::inverse (constant-time safegcd plus one multiply by R^3) against
+// Fermat's pow(p - 2) and BigInt's extended GCD, and pow against
+// BigInt::pow_mod, limb for limb.
 TEST(ArithDiff, FpInverseAndPowMatchBigInt) {
   HmacDrbg rng(9004);
-  for (const auto& f : test_fields()) {
+  for (const auto& f : inverse_fields()) {
     const BigInt& p = f->modulus();
-    for (int iter = 0; iter < 10; ++iter) {
-      const BigInt av = BigInt::random_below(rng, p);
-      const BigInt ev = BigInt::random_below(rng, p);
+    const BigInt fermat = p - BigInt(2);
+    for (const BigInt& av : fp_operands(*f, rng, 10)) {
       const Fp a = f->from_bigint(av);
-
-      EXPECT_EQ(a.pow(ev).to_bigint(), av.pow_mod(ev, p));
-      if (!a.is_zero()) {
-        EXPECT_EQ(a.inverse().to_bigint(), av.mod_inverse(p));
+      const BigInt ev = BigInt::random_below(rng, p);
+      EXPECT_EQ(a.pow(ev), f->from_bigint(av.pow_mod(ev, p)));
+      if (av.is_zero()) {
+        EXPECT_THROW(a.inverse(), InvalidArgument);
+        continue;
       }
+      const Fp inv = a.inverse();
+      EXPECT_EQ(inv, a.pow(fermat)) << "p = " << p.to_hex();
+      EXPECT_EQ(inv, f->from_bigint(av.mod_inverse(p)));
+      EXPECT_TRUE((inv * a).is_one());
     }
   }
+}
+
+// SafeGcd::invert on plain residues, out of place and with `out`
+// aliasing `a`; 0 maps to exactly 0 (all-zero limbs, not p).
+TEST(ArithDiff, SafeGcdInvertMatchesBigIntInPlace) {
+  HmacDrbg rng(9012);
+  for (const auto& f : inverse_fields()) {
+    const BigInt& p = f->modulus();
+    const auto& mont = f->mont();
+    const std::size_t k = mont.limbs();
+    for (const BigInt& av : fp_operands(*f, rng, 10)) {
+      std::vector<std::uint64_t> want(k);
+      mont.pad_limbs(av.is_zero() ? BigInt(0) : av.mod_inverse(p),
+                     want.data());
+      std::vector<std::uint64_t> a(k);
+      std::vector<std::uint64_t> out(k, ~std::uint64_t{0});
+      mont.pad_limbs(av, a.data());
+      f->safegcd().invert(a.data(), out.data());
+      EXPECT_EQ(out, want) << "p = " << p.to_hex() << ", a = " << av.to_hex();
+      f->safegcd().invert(a.data(), a.data());
+      EXPECT_EQ(a, want) << "in place, p = " << p.to_hex();
+    }
+  }
+}
+
+// Past 4096 bits the scratch moves to the heap; the algorithm is the
+// same. Any odd modulus works for units, so 2^4200 + 1 stands in for a
+// field that wide.
+TEST(ArithDiff, SafeGcdInvertsPastTheStackScratch) {
+  HmacDrbg rng(9013);
+  const BigInt m = (BigInt(1) << 4200) + BigInt(1);
+  const field::SafeGcd inv(m);
+  const bigint::Montgomery mont(m);
+  const std::size_t k = mont.limbs();
+  std::vector<BigInt> pool = {BigInt(1), BigInt(2), m - BigInt(1)};
+  for (int i = 0; i < 3; ++i) pool.push_back(BigInt::random_below(rng, m));
+  for (const BigInt& av : pool) {
+    BigInt expected;
+    try {
+      expected = av.mod_inverse(m);
+    } catch (const Error&) {
+      continue;  // not a unit mod m
+    }
+    std::vector<std::uint64_t> a(k), want(k);
+    mont.pad_limbs(av, a.data());
+    mont.pad_limbs(expected, want.data());
+    inv.invert(a.data(), a.data());
+    EXPECT_EQ(a, want) << "a = " << av.to_hex();
+  }
+}
+
+// The divstep count is the Theorem 11.2 bound for the modulus' bit
+// length in whole 62-step batches: equal for equal bit lengths.
+TEST(ArithDiff, SafeGcdStepCountFollowsBitLength) {
+  EXPECT_EQ(field::SafeGcd(BigInt(103)).divsteps(), 62u);
+  const auto& sec80 = pairing::named_params("sec80").curve->field();
+  EXPECT_EQ(sec80->safegcd().divsteps(), 24u * 62u);  // ⌈(49·512+80)/17⌉ = 1481
+  EXPECT_EQ(field::SafeGcd((BigInt(1) << 511) + BigInt(1)).divsteps(),
+            24u * 62u);
+  EXPECT_THROW(field::SafeGcd(BigInt(100)), InvalidArgument);
+  EXPECT_THROW(field::SafeGcd(BigInt(1)), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -176,36 +257,40 @@ Fp2Ref ref_mul(const Fp2Ref& x, const Fp2Ref& y, const BigInt& p) {
                 x.a.mul_mod(y.b, p).add_mod(x.b.mul_mod(y.a, p), p)};
 }
 
+// Fp2 elements pair up Fp pool values (edges and randoms) as real and
+// imaginary parts; results are compared limb for limb with Fp's
+// operator== against the canonical encoding of the reference value.
 TEST(ArithDiff, Fp2MulAndSquareMatchReference) {
   HmacDrbg rng(9005);
-  for (const auto& f : test_fields()) {
+  for (const auto& f : fp_fields()) {
     const BigInt& p = f->modulus();
-    for (int iter = 0; iter < 25; ++iter) {
-      const Fp2 x = Fp2::random(f, rng);
-      const Fp2 y = Fp2::random(f, rng);
-      const Fp2Ref xr{x.re().to_bigint(), x.im().to_bigint()};
-      const Fp2Ref yr{y.re().to_bigint(), y.im().to_bigint()};
-
-      const Fp2Ref prod = ref_mul(xr, yr, p);
-      const Fp2 z = x * y;
-      EXPECT_EQ(z.re().to_bigint(), prod.a);
-      EXPECT_EQ(z.im().to_bigint(), prod.b);
-
-      const Fp2Ref sq = ref_mul(xr, xr, p);
+    const auto pool = fp_operands(*f, rng, 3);
+    std::vector<Fp2Ref> refs;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      refs.push_back(Fp2Ref{pool[i], pool[(i * 5 + 1) % pool.size()]});
+      refs.push_back(Fp2Ref{pool[i], pool[i]});
+    }
+    const auto lift = [&](const Fp2Ref& r) {
+      return Fp2(f->from_bigint(r.a), f->from_bigint(r.b));
+    };
+    for (const Fp2Ref& xr : refs) {
+      const Fp2 x = lift(xr);
       const Fp2 s = x.square();
-      EXPECT_EQ(s.re().to_bigint(), sq.a);
-      EXPECT_EQ(s.im().to_bigint(), sq.b);
-
-      // In-place variants, including the self-aliasing case.
+      EXPECT_EQ(s, lift(ref_mul(xr, xr, p)));
       Fp2 t = x;
-      t.mul_inplace(y);
-      EXPECT_EQ(t, z);
-      t = x;
       t.square_inplace();
       EXPECT_EQ(t, s);
       t = x;
       t.mul_inplace(t);
       EXPECT_EQ(t, s);
+      for (const Fp2Ref& yr : refs) {
+        const Fp2 y = lift(yr);
+        const Fp2 z = x * y;
+        EXPECT_EQ(z, lift(ref_mul(xr, yr, p)));
+        t = x;
+        t.mul_inplace(y);
+        EXPECT_EQ(t, z);
+      }
     }
   }
 }

@@ -118,6 +118,31 @@ TEST(Point, SubgroupMembership) {
   }
 }
 
+// q·P lands on a point of order dividing the cofactor for every curve
+// point P; such a point is outside the subgroup unless it is O.
+TEST(Point, SubgroupMembershipRejectsCofactorOrderPoints) {
+  for (const auto& c : {tiny_curve(), pairing::toy_params().curve}) {
+    bool found = false;
+    for (std::uint64_t xv = 1; xv < 200 && !found; ++xv) {
+      const auto x = c->field()->from_u64(xv);
+      const auto rhs = c->rhs(x);
+      if (rhs.is_zero() || !rhs.is_square()) continue;
+      const Point t = c->point(x, rhs.sqrt()).mul(c->order());
+      if (t.is_infinity()) continue;
+      found = true;
+      EXPECT_FALSE(t.in_subgroup());
+      EXPECT_TRUE(t.mul(c->cofactor()).is_infinity());
+      // A subgroup point plus T leaves the subgroup too.
+      const Point g = some_point(c).mul(c->cofactor());
+      if (!g.is_infinity()) {
+        EXPECT_FALSE((g + t).in_subgroup());
+      }
+    }
+    EXPECT_TRUE(found);
+    EXPECT_TRUE(c->infinity().in_subgroup());
+  }
+}
+
 TEST(Point, CompressionRoundTrip) {
   auto c = tiny_curve();
   const Point p = some_point(c);

@@ -48,6 +48,43 @@ TEST_F(GdhTest, VerifyRejectsTamperedSignature) {
   EXPECT_FALSE(verify(group_, kp.pub, msg, group_.curve->infinity()));
 }
 
+// A point of order dividing the cofactor: q·P for a curve point P
+// outside the subgroup.
+Point cofactor_order_point(const pairing::ParamSet& group) {
+  const auto& curve = group.curve;
+  for (std::uint64_t xv = 1;; ++xv) {
+    const auto x = curve->field()->from_u64(xv);
+    const auto rhs = curve->rhs(x);
+    if (rhs.is_zero() || !rhs.is_square()) continue;
+    const Point t = curve->point(x, rhs.sqrt()).mul(group.order());
+    if (!t.is_infinity()) return t;
+  }
+}
+
+TEST_F(GdhTest, VerifyHashedAgreesWithVerify) {
+  const KeyPair kp = keygen(group_, rng_);
+  const Bytes msg = str_bytes("msg A");
+  const Bytes other = str_bytes("msg B");
+  const Point h = hash_message(group_, msg);
+  const Point sig = sign(group_, kp.secret, msg);
+  const Point t = cofactor_order_point(group_);
+  ASSERT_FALSE(t.in_subgroup());
+
+  EXPECT_TRUE(verify(group_, kp.pub, msg, sig));
+  EXPECT_TRUE(verify_hashed(group_, kp.pub, h, sig));
+  // Wrong message.
+  EXPECT_FALSE(verify(group_, kp.pub, other, sig));
+  EXPECT_FALSE(
+      verify_hashed(group_, kp.pub, hash_message(group_, other), sig));
+  // Infinity.
+  const Point inf = group_.curve->infinity();
+  EXPECT_FALSE(verify(group_, kp.pub, msg, inf));
+  EXPECT_FALSE(verify_hashed(group_, kp.pub, h, inf));
+  // σ plus a cofactor-order point.
+  EXPECT_FALSE(verify(group_, kp.pub, msg, sig + t));
+  EXPECT_FALSE(verify_hashed(group_, kp.pub, h, sig + t));
+}
+
 TEST_F(GdhTest, SignatureIsDeterministic) {
   const KeyPair kp = keygen(group_, rng_);
   const Bytes msg = str_bytes("msg");

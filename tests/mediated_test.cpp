@@ -8,6 +8,7 @@
 #include "mediated/mediated_elgamal.h"
 #include "mediated/mediated_gdh.h"
 #include "mediated/mediated_ibe.h"
+#include "obs/registry.h"
 #include "pairing/params.h"
 
 namespace medcrypt::mediated {
@@ -279,6 +280,40 @@ TEST_F(MediatedGdhTest, SemHalfAloneDoesNotVerify) {
   const ec::Point half = sem_.issue_token("alice", msg);
   EXPECT_FALSE(gdh::verify(group_, alice.public_key(), msg, half));
 }
+
+TEST_F(MediatedGdhTest, UserRejectsSignatureFromWrongSemHalf) {
+  // §5 step 3: the SEM now holds an x_sem the public key was not built
+  // from. It still issues tokens, so the refusal must come from the
+  // user's own check of the assembled signature, not from revocation.
+  auto alice = enroll_gdh_user(group_, sem_, "alice", rng_);
+  sem_.install_key("alice", BigInt::random_unit(rng_, group_.order()));
+  const Bytes msg = str_bytes("m");
+  EXPECT_NO_THROW((void)sem_.issue_token("alice", msg));
+  try {
+    (void)alice.sign(msg, sem_);
+    ADD_FAILURE() << "sign released a signature that does not verify";
+  } catch (const RevokedError&) {
+    ADD_FAILURE() << "refused by the SEM, not by the user's check";
+  } catch (const Error&) {
+  }
+}
+
+#if MEDCRYPT_OBS_ENABLED
+TEST_F(MediatedGdhTest, SignHashesTheMessageOnceWithWarmSemCache) {
+  // The user hashes M for its own half and checks the assembled
+  // signature against that same h(M); with the SEM's h(M) cache warm no
+  // other hash runs.
+  ASSERT_TRUE(obs::enabled());
+  auto alice = enroll_gdh_user(group_, sem_, "alice", rng_);
+  const Bytes msg = str_bytes("hash once");
+  (void)alice.sign(msg, sem_);  // warms the SEM's h(M) cache
+  const auto& spans =
+      obs::registry().stage_histogram(obs::Stage::kHashToPoint);
+  const std::uint64_t before = spans.count();
+  (void)alice.sign(msg, sem_);
+  EXPECT_EQ(spans.count() - before, 1u);
+}
+#endif  // MEDCRYPT_OBS_ENABLED
 
 TEST_F(MediatedGdhTest, SignaturesMatchUnsplitKey) {
   // Determinism: the mediated signature equals x·h(M) for x = x_u + x_s.
