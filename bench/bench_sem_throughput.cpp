@@ -24,7 +24,9 @@
 #include "mediated/mediated_ibe.h"
 #include "obs/export.h"
 #include "obs/slo.h"
+#include "pairing/param_gen.h"
 #include "pairing/params.h"
+#include "pairing/tate.h"
 
 namespace {
 
@@ -89,6 +91,64 @@ class ZipfStream {
   std::uint64_t state_;
 };
 
+/// Mean microseconds per Tate pairing while sets.size() threads pair at
+/// once, thread t on sets[t]'s curve. Passing one set several times
+/// makes the threads share every context; distinct sets share nothing.
+double concurrent_pair_us(const std::vector<const pairing::ParamSet*>& sets,
+                          int pairs_per_thread) {
+  std::vector<pairing::TatePairing> engines;
+  std::vector<ec::Point> seconds;
+  for (const pairing::ParamSet* ps : sets) {
+    engines.emplace_back(ps->curve);
+    seconds.push_back(ps->generator.dbl());
+  }
+  const int threads = static_cast<int>(sets.size());
+  const double pairs_per_s =
+      throughput(threads, pairs_per_thread, 1, [&](int t, int) {
+        const auto i = static_cast<std::size_t>(t);
+        (void)engines[i].pair(sets[i]->generator, seconds[i]);
+      });
+  return threads * 1e6 / pairs_per_s;
+}
+
+/// Same-run contention probe: two threads pairing on the shared
+/// paper_params(), against two threads each on its own generate_params
+/// copy. The copies are regenerated from sec80's seed, so both sides do
+/// the same pairing work. The rounds alternate so host drift hits both
+/// sides alike. Prints both medians and their ratio and records the
+/// medians; a ratio above 1 is the cost of sharing contexts.
+void contention_probe(benchutil::JsonReport& jr) {
+  const pairing::ParamSet& shared = pairing::paper_params();
+  const auto sec80_copy = [] {
+    hash::HmacDrbg rng(0x73656338);  // sec80's seed in pairing/params.cpp
+    return pairing::generate_params(512, 160, rng);
+  };
+  const pairing::ParamSet own0 = sec80_copy(), own1 = sec80_copy();
+  if (own0.generator.x() != shared.generator.x()) {
+    std::printf("contention probe: private copies differ from sec80\n");
+  }
+  const int pairs = benchutil::bench_iters(100);
+  constexpr int kRounds = 5;
+  std::vector<double> shared_us, private_us;
+  for (int r = 0; r < kRounds; ++r) {
+    shared_us.push_back(concurrent_pair_us({&shared, &shared}, pairs));
+    private_us.push_back(concurrent_pair_us({&own0, &own1}, pairs));
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double s_us = median(shared_us), p_us = median(private_us);
+  std::printf("contention probe (sec80 Tate pairing, 2 threads, median of %d "
+              "alternating rounds x %d pairings):\n"
+              "  shared paper_params()       %8.1f us/pairing\n"
+              "  private generate_params x2  %8.1f us/pairing\n"
+              "  shared / private            %8.3f\n\n",
+              kRounds, pairs, s_us, p_us, s_us / p_us);
+  jr.add("contention_probe/sec80_pair/shared_t2", s_us * 1e3, pairs);
+  jr.add("contention_probe/sec80_pair/private_t2", p_us * 1e3, pairs);
+}
+
 }  // namespace
 
 int main() {
@@ -99,6 +159,8 @@ int main() {
   std::printf("== T5 (extension): SEM token throughput @ paper parameters "
               "==\n(hardware threads available: %u)\n\n",
               std::thread::hardware_concurrency());
+
+  contention_probe(jr);
 
   // One SEM deployment serving IBE decryption and GDH signing.
   ibe::Pkg pkg(pairing::paper_params(), 32, rng);

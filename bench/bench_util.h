@@ -8,10 +8,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "bigint/kernels/kernels.h"
 #include "hash/drbg.h"
 #include "mediated/ib_mrsa.h"
 
@@ -44,11 +47,32 @@ inline int bench_iters(int dflt) {
   return v >= 1 ? v : dflt;
 }
 
+/// The host's CPU model from /proc/cpuinfo ("unknown" where there is
+/// none), JSON-escaped.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos || colon + 2 > line.size()) break;
+    std::string out;
+    for (const char c : line.substr(colon + 2)) {  // past ": "
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out;
+  }
+  return "unknown";
+}
+
 /// Collects named timing results and writes them as BENCH_<tag>.json in
 /// the working directory: one object per op with its median time in
-/// nanoseconds and the iteration count, plus the git revision. The
-/// format is the contract for cross-revision comparisons — see
-/// docs/PERF.md for how the numbers are meant to be consumed.
+/// nanoseconds and the iteration count, plus the git revision and the
+/// host the numbers came from (CPU model, hardware thread count, the
+/// active Montgomery kernel tier). The format is the contract for
+/// cross-revision comparisons — see docs/PERF.md for how the numbers
+/// are meant to be consumed.
 class JsonReport {
  public:
   explicit JsonReport(std::string tag) : tag_(std::move(tag)) {}
@@ -108,8 +132,13 @@ class JsonReport {
       std::fprintf(stderr, "JsonReport: cannot write %s\n", path.c_str());
       return;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"git_rev\": \"%s\",\n"
-                 "  \"results\": [\n", tag_.c_str(), MEDCRYPT_GIT_REV);
+    std::fprintf(f,
+                 "{\n  \"bench\": \"%s\",\n  \"git_rev\": \"%s\",\n"
+                 "  \"cpu_model\": \"%s\",\n  \"nproc\": %u,\n"
+                 "  \"kernel_tier\": \"%s\",\n  \"results\": [\n",
+                 tag_.c_str(), MEDCRYPT_GIT_REV, cpu_model().c_str(),
+                 std::thread::hardware_concurrency(),
+                 bigint::kernels::active().name);
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
       const char* comma = i + 1 < entries_.size() ? "," : "";

@@ -1,6 +1,8 @@
 #include "field/fp.h"
 
 #include <array>
+#include <map>
+#include <mutex>
 
 #include "common/error.h"
 
@@ -17,25 +19,54 @@ PrimeField::PrimeField(BigInt p)
   mont_.pad_limbs(r.mul_mod(r, m).mul_mod(r, m), r3_.data());
 }
 
-std::shared_ptr<const PrimeField> PrimeField::make(BigInt p) {
-  // enable_shared_from_this requires shared ownership from the start.
-  return std::shared_ptr<const PrimeField>(new PrimeField(std::move(p)));
+namespace {
+
+// Every context ever made, keyed by modulus. Held through a pointer that
+// is never deleted, so contexts outlive every static destructor that
+// might still drop an element, and stay reachable (not leaked) to
+// LeakSanitizer. std::map nodes never move, so a context's handle_ stays
+// valid as the map grows.
+struct FieldRegistry {
+  std::mutex mu;
+  std::map<BigInt, std::shared_ptr<const PrimeField>> fields;
+};
+
+FieldRegistry& field_registry() {
+  static FieldRegistry* const registry = new FieldRegistry;
+  return *registry;
+}
+
+}  // namespace
+
+const std::shared_ptr<const PrimeField> Fp::kNoField;
+
+const std::shared_ptr<const PrimeField>& PrimeField::make(BigInt p) {
+  FieldRegistry& reg = field_registry();
+  const std::lock_guard<std::mutex> lock(reg.mu);
+  auto it = reg.fields.find(p);
+  if (it == reg.fields.end()) {
+    // The constructor throws on an even modulus, before anything is kept.
+    const std::shared_ptr<PrimeField> field(new PrimeField(p));
+    it = reg.fields.emplace(std::move(p), field).first;
+    field->handle_ = &it->second;
+  }
+  return it->second;
 }
 
 Fp PrimeField::zero() const {
-  return Fp(shared_from_this(), LimbStore(mont_.limbs()));
+  return Fp(this, LimbStore(mont_.limbs()));
 }
 
 Fp PrimeField::one() const {
   LimbStore s(mont_.limbs());
   std::copy_n(mont_.one_limbs(), mont_.limbs(), s.data());
-  return Fp(shared_from_this(), std::move(s));
+  return Fp(this, std::move(s));
 }
 
 Fp PrimeField::from_bigint(const BigInt& v) const {
   LimbStore s(mont_.limbs());
   mont_.to_mont_limbs(v.mod(modulus()), s.data());
-  return Fp(shared_from_this(), std::move(s));
+  return Fp(this, std::move(s));
 }
 
 Fp PrimeField::from_u64(std::uint64_t v) const {
@@ -52,13 +83,13 @@ Fp PrimeField::from_bytes(BytesView bytes) const {
   }
   LimbStore s(mont_.limbs());
   mont_.to_mont_limbs(v, s.data());
-  return Fp(shared_from_this(), std::move(s));
+  return Fp(this, std::move(s));
 }
 
 Fp PrimeField::random(RandomSource& rng) const {
   LimbStore s(mont_.limbs());
   mont_.to_mont_limbs(BigInt::random_below(rng, modulus()), s.data());
-  return Fp(shared_from_this(), std::move(s));
+  return Fp(this, std::move(s));
 }
 
 bool Fp::is_one() const {
@@ -79,12 +110,12 @@ void Fp::check_bound(const char* op) const {
 }
 
 void Fp::check_same_field(const Fp& o) const {
+  // Contexts are interned, so one modulus means one pointer.
+  if (field_ == o.field_ && field_ != nullptr) return;
   if (!field_ || !o.field_) {
     throw InvalidArgument("Fp: operation on default-constructed element");
   }
-  if (field_ != o.field_ && field_->modulus() != o.field_->modulus()) {
-    throw InvalidArgument("Fp: mixed-field operation");
-  }
+  throw InvalidArgument("Fp: mixed-field operation");
 }
 
 Fp& Fp::operator+=(const Fp& o) {
@@ -157,8 +188,8 @@ Fp Fp::dbl() const {
 }
 
 bool Fp::operator==(const Fp& o) const {
-  if (!field_ || !o.field_) return !field_ && !o.field_;
-  return field_->modulus() == o.field_->modulus() && store_.equals(o.store_);
+  if (field_ != o.field_) return false;
+  return field_ == nullptr || store_.equals(o.store_);
 }
 
 Fp Fp::inverse() const {

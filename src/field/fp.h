@@ -1,11 +1,15 @@
 // Prime field F_p.
 //
-// PrimeField is an immutable shared context (modulus + Montgomery state
-// + cached exponents); Fp is a value-semantic element kept permanently
+// PrimeField is an immutable context (modulus + Montgomery state +
+// cached exponents), interned by modulus in a process-wide registry
+// that never frees it; Fp is a value-semantic element kept permanently
 // in Montgomery form, stored as exactly k padded limbs (LimbStore) so
 // every field operation runs at the Montgomery limb level without heap
-// allocation. Elements remember their field via shared_ptr so
-// mixed-field operations are detected, and contexts never dangle.
+// allocation. Elements remember their field by plain pointer: interning
+// makes the pointer compare detect mixed-field operations, and the
+// registry's lifetime means it never dangles. Copying, moving or
+// destroying an element therefore touches no reference count, so
+// threads sharing one field never contend on a shared cache line.
 //
 // The compound operators (+=, -=, *=) and the *_inplace methods mutate
 // in place and are the hot-path spelling: the curve and pairing layers
@@ -28,12 +32,18 @@ using bigint::BigInt;
 
 class Fp;
 
-/// Immutable prime-field context. Create via PrimeField::make and share.
-class PrimeField : public std::enable_shared_from_this<PrimeField> {
+/// Immutable prime-field context, one per modulus for the whole process.
+class PrimeField {
  public:
-  /// Builds a field context for odd prime p. Primality is the caller's
-  /// responsibility (parameter generation checks it); oddness is enforced.
-  static std::shared_ptr<const PrimeField> make(BigInt p);
+  /// The context for odd prime p: built on the first call for p and
+  /// returned again by every later one, never freed (so a process that
+  /// builds fields from fresh primes keeps each of them). Primality is
+  /// the caller's responsibility (parameter generation checks it);
+  /// oddness is enforced. Thread-safe.
+  static const std::shared_ptr<const PrimeField>& make(BigInt p);
+
+  PrimeField(const PrimeField&) = delete;
+  PrimeField& operator=(const PrimeField&) = delete;
 
   const BigInt& modulus() const { return mont_.modulus(); }
 
@@ -74,8 +84,11 @@ class PrimeField : public std::enable_shared_from_this<PrimeField> {
   const std::uint64_t* r3_limbs() const { return r3_.data(); }
 
  private:
+  friend class Fp;
   explicit PrimeField(BigInt p);
 
+  // The registry's owning handle for this context (set by make).
+  const std::shared_ptr<const PrimeField>* handle_ = nullptr;
   bigint::Montgomery mont_;
   std::size_t byte_size_;
   BigInt legendre_exp_;  // (p-1)/2
@@ -91,7 +104,10 @@ class Fp {
   /// destruction are valid on them.
   Fp() = default;
 
-  const std::shared_ptr<const PrimeField>& field() const { return field_; }
+  /// The element's field; empty for a default-constructed element.
+  const std::shared_ptr<const PrimeField>& field() const {
+    return field_ != nullptr ? *field_->handle_ : kNoField;
+  }
 
   bool is_zero() const { return store_.is_zero(); }
   bool is_one() const;
@@ -148,7 +164,7 @@ class Fp {
   /// becomes default-constructed). Called by secret holders' destructors.
   void wipe() {
     store_.wipe();
-    field_.reset();
+    field_ = nullptr;
   }
 
  private:
@@ -158,13 +174,15 @@ class Fp {
   // public op chain.
   friend class WideAcc;
   friend class WideProduct;
-  Fp(std::shared_ptr<const PrimeField> field, LimbStore store)
-      : field_(std::move(field)), store_(std::move(store)) {}
+  Fp(const PrimeField* field, LimbStore store)
+      : field_(field), store_(std::move(store)) {}
 
   void check_same_field(const Fp& o) const;
   void check_bound(const char* op) const;
 
-  std::shared_ptr<const PrimeField> field_;
+  static const std::shared_ptr<const PrimeField> kNoField;
+
+  const PrimeField* field_ = nullptr;  // interned: never freed
   LimbStore store_;
 };
 

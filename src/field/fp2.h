@@ -48,7 +48,7 @@ class Fp2 {
   void square_inplace();
 
   /// *this *= (c + d·i) given as bare components — the Miller loop's
-  /// line multiply, skipping the Fp2 temporary (and its two shared_ptr
+  /// line multiply, skipping the Fp2 temporary (and its two limb-store
   /// copies) a mul_inplace(Fp2(c, d)) would cost. `c`/`d` must not
   /// alias this element's own components.
   void mul_line_inplace(const Fp& c, const Fp& d);

@@ -1,6 +1,9 @@
 // Tests for the prime field Fp and the quadratic extension Fp2.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "common/error.h"
 #include "field/fp.h"
 #include "field/fp2.h"
@@ -145,6 +148,54 @@ TEST(Fp, MixedFieldOperationThrows) {
   auto f2 = big_field();
   EXPECT_THROW(f1->one() + f2->one(), InvalidArgument);
   EXPECT_THROW(Fp{} + f1->one(), InvalidArgument);
+}
+
+TEST(PrimeField, MakeInternsByModulus) {
+  const auto& f1 = PrimeField::make(BigInt(103));
+  const auto& f2 = PrimeField::make(BigInt(103));
+  EXPECT_EQ(f1.get(), f2.get());
+  EXPECT_EQ(&f1, &f2);  // the registry's own handle, not a copy
+  EXPECT_EQ(f1->from_u64(5).field().get(), f1.get());
+  EXPECT_EQ(f1->from_u64(5), f2->from_u64(5));
+
+  // Distinct moduli stay distinct contexts, even where the limbs agree.
+  const auto& other = PrimeField::make(BigInt(107));
+  EXPECT_NE(other.get(), f1.get());
+  EXPECT_FALSE(f1->zero() == other->zero());
+  EXPECT_EQ(Fp{}.field(), nullptr);
+  EXPECT_EQ(Fp{}, Fp{});
+  EXPECT_FALSE(Fp{} == f1->zero());
+
+  // An even modulus is refused every time; nothing half-built is kept.
+  EXPECT_THROW(PrimeField::make(BigInt(100)), InvalidArgument);
+  EXPECT_THROW(PrimeField::make(BigInt(100)), InvalidArgument);
+}
+
+TEST(PrimeField, ConcurrentMakeReturnsOneContext) {
+  // 2^89 - 1, a Mersenne prime no other test here builds.
+  const BigInt p = (BigInt(1) << 89) - BigInt(1);
+  std::vector<const PrimeField*> seen(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&, t] { seen[t] = PrimeField::make(p).get(); });
+  }
+  for (auto& th : threads) th.join();
+  for (const PrimeField* f : seen) EXPECT_EQ(f, seen[0]);
+}
+
+TEST(PrimeField, ElementOutlivesTheCallersHandle) {
+  // 2^127 - 1, a Mersenne prime no other test here builds, so the
+  // caller's handle and the registry's are the only owners.
+  const BigInt p = (BigInt(1) << 127) - BigInt(1);
+  Fp x;
+  {
+    std::shared_ptr<const PrimeField> f = PrimeField::make(p);
+    x = f->from_u64(12345);
+  }
+  const Fp y = x * x + x;
+  EXPECT_EQ(y.to_bigint(), BigInt(12345) * BigInt(12345) + BigInt(12345));
+  EXPECT_EQ(y.inverse() * y, y.field()->one());
+  EXPECT_EQ(x.field().get(), PrimeField::make(p).get());
 }
 
 TEST(Fp2, ComplexArithmetic) {

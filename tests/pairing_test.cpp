@@ -3,6 +3,8 @@
 // Boneh–Franklin constructions rely on.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
 #include "ec/hash_to_point.h"
 #include "hash/drbg.h"
@@ -139,6 +141,23 @@ TEST(TatePairing, PaperParamsSmokeTest) {
   const BigInt a = BigInt::random_unit(rng, params.order());
   const auto& P = params.generator;
   EXPECT_EQ(e.pair(P.mul(a), P), e.pair(P, P.mul(a)));
+}
+
+TEST_F(PairingTest, FieldElementsTakeNoReferenceOnTheirField) {
+  // Copying, holding and destroying elements must not touch the field's
+  // reference count: that count is one cache line every thread shares.
+  const auto e = engine();
+  const auto& P = params().generator;
+  const Fp2 warm = e.pair(P, P);  // first-use caches settle here
+  const auto& ctx = params().curve->field();
+  const long before = ctx.use_count();
+
+  std::vector<field::Fp> held(64, P.x());
+  const Fp2 g = e.pair(P, P.dbl());
+  const Fp2 prod = g * warm;
+  EXPECT_EQ(ctx.use_count(), before);
+  EXPECT_EQ(prod, warm.pow(BigInt(3)));
+  EXPECT_EQ(held.back(), P.x());
 }
 
 // --- Prepared (fixed-first-argument) pairing -------------------------------
